@@ -1,9 +1,8 @@
 """Package metadata.
 
 ``pip install -e .`` installs the ``repro`` package from ``src/`` with
-its single runtime dependency; ``pip install -e .[fast]`` adds numpy,
-which unlocks the ``array`` simulation kernel; ``pip install -e
-.[dev]`` adds the test and benchmark toolchain (the tier-1 suite and
+its single runtime dependency (networkx); ``pip install -e .[dev]``
+adds the test and benchmark toolchain (the tier-1 suite and
 ``benchmarks/`` need nothing else).
 """
 
@@ -25,9 +24,6 @@ setup(
         "networkx>=2.6",
     ],
     extras_require={
-        "fast": [
-            "numpy>=1.22",
-        ],
         "dev": [
             "pytest>=7",
             "hypothesis>=6",

@@ -15,11 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-try:  # numpy is the optional [fast] extra; fitting falls back without it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
-
 from ..exceptions import ReproError
 
 
@@ -38,7 +33,8 @@ class PowerLawFit:
 def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
     """Fit ``y = scale * x^exponent`` by linear regression in log-log space.
 
-    Requires at least two strictly positive points.  The ``residual`` is
+    Requires at least two strictly positive points with at least two
+    distinct x values.  The ``residual`` is
     the mean squared error of the fit in log space (useful for judging
     whether a power law is a reasonable description at all).
     """
@@ -48,20 +44,8 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
         raise ReproError("need at least two points to fit a power law")
     if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
         raise ReproError("power-law fitting requires strictly positive values")
-    if np is not None:
-        log_x = np.log(np.asarray(xs, dtype=float))
-        log_y = np.log(np.asarray(ys, dtype=float))
-        design = np.vstack([log_x, np.ones_like(log_x)]).T
-        (slope, intercept), residuals, _, _ = np.linalg.lstsq(design, log_y, rcond=None)
-        if residuals.size:
-            mse = float(residuals[0]) / len(xs)
-        else:
-            mse = float(np.mean((design @ np.array([slope, intercept]) - log_y) ** 2))
-        return PowerLawFit(
-            exponent=float(slope), scale=float(np.exp(intercept)), residual=mse
-        )
-    # Pure-Python ordinary least squares (the closed form for one
-    # predictor plus intercept is mathematically the lstsq solution).
+    # Ordinary least squares in closed form (one predictor plus an
+    # intercept).
     log_x = [math.log(x) for x in xs]
     log_y = [math.log(y) for y in ys]
     count = len(log_x)

@@ -11,10 +11,9 @@ wall-clock time:
   constructed inside the worker that runs the cell (specs are data, so
   nothing heavyweight crosses process boundaries);
 * batched (``jobs=1``, the default): the in-process
-  :class:`_BatchRunner` packs every distinct deterministic graph of the
-  sweep into one :class:`~repro.simulator.fast_network.BatchedEngine`
-  arena, builds each graph and each verification oracle once instead of
-  once per cell, and steps through the cells re-using arena lanes;
+  :class:`_BatchRunner` builds each distinct deterministic graph of the
+  sweep, its verification oracle and its description once instead of
+  once per cell, and steps through the cells sharing them;
 * batched-parallel (``jobs>1``, the default): the
   :mod:`~repro.campaign.scheduler` leases graph-affine work units to
   persistent worker processes, each running the batch runner locally
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -39,16 +38,7 @@ from ..analysis.experiments import run_single
 from ..core.results import MSTRunResult
 from ..exceptions import ConfigurationError, NonTerminationError
 from ..graphs.properties import hop_diameter
-from ..simulator.array_network import ArrayNetwork
-from ..simulator.engine import engine_provider, registered_factory
-from ..simulator.fast_network import BatchedEngine, FastNetwork
 from ..types import CostReport
-
-#: Kernels the batch runner can vend arena lanes for, and the stock
-#: class each name must still resolve to for lanes to be safe (the
-#: "array" entry additionally requires numpy -- without it the name is
-#: simply not registered, so the identity check fails closed).
-_LANE_KERNELS = {"fast": FastNetwork, "array": ArrayNetwork}
 from .spec import Campaign, RunSpec
 from .store import GraphDescription, RunStore
 
@@ -205,28 +195,22 @@ def run_spec(
 class _BatchRunner:
     """In-process batched cell runner (the ``batch=True`` execution path).
 
-    Serial per-cell execution rebuilds the graph, the engine and the
-    verification references for every cell.  The batch runner hoists all
-    of that to per-distinct-graph cost:
+    Serial per-cell execution rebuilds the graph and the verification
+    references for every cell.  The batch runner hoists that to
+    per-distinct-graph cost:
 
     * every distinct *deterministic* graph of the pending cells is built
-      exactly once and packed into one
-      :class:`~repro.simulator.fast_network.BatchedEngine` arena;
-    * cells running on the stock ``"fast"`` or ``"array"`` kernels
-      receive an arena lane through the
-      :func:`~repro.simulator.engine.engine_provider` seam
-      (byte-identical semantics; the lane *is* a ``FastNetwork`` /
-      ``ArrayNetwork``);
+      exactly once;
     * verification runs against one cached
-      :class:`~repro.verify.mst_checks.MSTOracle` per graph instead of
-      recomputing three reference MSTs per cell;
+      :class:`~repro.verify.mst_checks.MSTOracle` and one planted MST
+      per graph instead of recomputing the reference MSTs per cell;
     * instance descriptions are computed once per graph.
 
-    Non-deterministic cells (no pinned seed) keep the serial contract:
-    a fresh graph per cell, described and verified individually, so
-    their rows remain self-consistent samples.  Cells on other engines
-    still share graphs, oracles and descriptions -- only the lane
-    hand-out is kernel-specific.
+    Every cell constructs its engine through
+    :func:`~repro.simulator.engine.create_engine`, exactly as a
+    standalone run does.  Non-deterministic cells (no pinned seed) keep
+    the serial contract: a fresh graph per cell, described and verified
+    individually, so their rows remain self-consistent samples.
     """
 
     def __init__(
@@ -241,64 +225,10 @@ class _BatchRunner:
         self._oracles: Dict[str, object] = {}
         self._planted: Dict[str, object] = {}
         self._descriptions: Dict[str, GraphDescription] = {}
-        # Only graphs some simulated fast-engine cell will run on are
-        # worth packing into the arena: sequential references never
-        # construct an engine, so packing their graphs would be pure
-        # construction overhead.
-        from ..algorithms import algorithm_info
-
-        arena_keys: Set[str] = set()
         for _, spec, _ in pending:
             graph_key = spec.graph_key()
             if spec.is_deterministic() and graph_key not in self._graphs:
                 self._graphs[graph_key] = spec.build_graph()
-            if spec.engine in _LANE_KERNELS and algorithm_info(spec.algorithm).is_distributed:
-                arena_keys.add(graph_key)
-        self._arena = BatchedEngine(
-            (
-                graph
-                for graph_key, graph in self._graphs.items()
-                if graph_key in arena_keys
-            ),
-            validate=False,
-        )
-        # Lanes replace create_engine("fast") / create_engine("array")
-        # calls; if a test or plugin re-registered a name with a
-        # different kernel (or numpy is absent, leaving "array"
-        # unregistered), stand down for that name and let its cells
-        # construct their engines normally.
-        self._lane_engines = {
-            name
-            for name, stock in _LANE_KERNELS.items()
-            if registered_factory(name) is stock
-        }
-
-    def _provider(self, graph: nx.Graph):
-        """An engine provider vending ``graph``'s arena lane exactly once.
-
-        One cell runs one simulation on one engine; if an algorithm ever
-        asked for a second engine mid-run, handing the (reset) lane out
-        again would wipe the first engine's state, so subsequent
-        requests fall through to normal construction instead.
-        """
-        vended: Set[int] = set()
-
-        def provider(candidate: nx.Graph, bandwidth: int, engine_name: str):
-            if (
-                engine_name not in self._lane_engines
-                or candidate is not graph
-                # repro: allow[DET204] identity guard on a live object, never emitted
-                or id(candidate) in vended
-                or not self._arena.has_graph(candidate)
-            ):
-                return None
-            # repro: allow[DET204] identity guard on a live object, never emitted
-            vended.add(id(candidate))
-            if engine_name == "array":
-                return self._arena.array_lane(candidate, bandwidth)
-            return self._arena.lane(candidate, bandwidth)
-
-        return provider
 
     def run(
         self,
@@ -319,11 +249,7 @@ class _BatchRunner:
             if deterministic:
                 self._descriptions[graph_key] = description
         try:
-            if spec.engine in self._lane_engines and deterministic:
-                with engine_provider(self._provider(graph)):
-                    result = self._simulate(graph, spec)
-            else:
-                result = self._simulate(graph, spec)
+            result = self._simulate(graph, spec)
         except NonTerminationError as error:
             if spec.condition is None:
                 raise
@@ -524,9 +450,8 @@ def execute_campaign(
             and the ``on_phase`` / ``on_result`` events in campaign
             order once the pool drains.  Resumed cells fire no events.
         batch: batched execution (see :class:`_BatchRunner`): distinct
-            graphs are built, described, packed into one
-            :class:`~repro.simulator.fast_network.BatchedEngine` arena
-            and verified against one cached oracle each -- several times
+            graphs are built and described once each and verified
+            against one cached oracle each -- several times
             faster on many-small-cell sweeps, with rows byte-identical
             to the per-cell path.  With ``jobs > 1`` batching composes
             with multiprocessing: the :mod:`~repro.campaign.scheduler`

@@ -19,7 +19,8 @@ sweep: every registered graph family (core set plus the
 :mod:`repro.workloads` additions) under the paper's algorithm and a
 sequential differential reference, plus a denser differential-stress
 grid -- the preset the batched executor is sized against.  ``zoo-large``
-is the n = 10^5 grid the numpy ``array`` kernel is sized against.
+is an n = 10^5 grid for the paper's algorithm on the ``fast`` kernel: a
+long-running batch sweep, not a CI or interactive one.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _zoo() -> Campaign:
 
     Two concatenated sub-grids, all on the fast kernel with pinned
     seeds (every cell deterministic, so the batched executor can share
-    graphs, oracles and arena lanes):
+    graphs, oracles and descriptions):
 
     * *coverage*: the canonical small instance of **every** registered
       family, run by the paper's algorithm (seed 0) and by all four
@@ -153,15 +154,15 @@ def _zoo() -> Campaign:
 
 
 def _zoo_large() -> Campaign:
-    """n = 10^5-scale instances on the array kernel (Theorem 3.1 regime).
+    """n = 10^5-scale instances on the fast kernel (Theorem 3.1 regime).
 
     The scale the paper's complexity statements are about: three
     message-heavy low-diameter families at n = 10^5, run by the paper's
-    algorithm on the numpy kernel.  Verification is off (the sequential
-    oracle would dominate the sweep) and callers should pass
-    ``--no-diameter`` -- exact hop-diameter is O(n m) and these
-    instances are all D = O(log n) by construction.  The ``fast``
-    kernel can execute this grid too, just not interactively.
+    algorithm.  Verification is off (the sequential oracle would
+    dominate the sweep) and callers should pass ``--no-diameter`` --
+    exact hop-diameter is O(n m) and these instances are all
+    D = O(log n) by construction.  Each cell takes minutes, so this is
+    a batch sweep, not an interactive one.
     """
     graphs = [
         GraphSpec("random_connected", {"n": 100_000, "extra_edges": 400_000, "seed": 0}),
@@ -169,7 +170,7 @@ def _zoo_large() -> Campaign:
         GraphSpec("hypercube", {"dim": 16, "seed": 0}),
     ]
     specs = [
-        RunSpec(graph=graph, algorithm="elkin", engine="array", seed=0)
+        RunSpec(graph=graph, algorithm="elkin", engine="fast", seed=0)
         for graph in graphs
     ]
     return Campaign(name="zoo-large", specs=specs, verify=False)

@@ -13,7 +13,7 @@ and multiprocessing (the ``jobs > 1`` pool) -- into one scheduler:
   processes** -- one process lifecycle per campaign, not one pool per
   phase; a worker that finishes a unit immediately leases the next, so
   stragglers self-balance;
-* each worker runs the stock :class:`_BatchRunner` arena over its unit
+* each worker runs the stock :class:`_BatchRunner` over its unit
   and appends the finished cells to its own **worker-local shard
   store** (``durability="batch"``, one commit per completed lease),
   so no two processes ever contend on one file;
@@ -45,13 +45,13 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.results import MSTRunResult
-from ..exceptions import ConfigurationError, SimulationError
+from ..exceptions import SimulationError
 from .spec import content_hash, RunSpec
 from .store import GraphDescription, open_store, RunStore
 
 #: Target number of work units leased per worker over a campaign.
 #: More units per worker means finer-grained load balancing; fewer
-#: means better arena amortization inside each unit.  Four leaves
+#: means better graph/oracle amortization inside each unit.  Four leaves
 #: enough slack for stragglers without fragmenting the graph groups
 #: of small sweeps.
 UNITS_PER_WORKER = 4
@@ -231,19 +231,8 @@ def run_scheduled(
     genuinely lost.
     """
     from .executor import _notify
-    from ..simulator.engine import active_provider_count
 
     methods = multiprocessing.get_all_start_methods()
-    if active_provider_count() and "fork" not in methods:
-        # Spawned workers start from a fresh interpreter: a caller's
-        # engine_provider (a live closure) cannot cross that boundary,
-        # so cells would silently run on different engines than the
-        # parent process intended.  Fail loudly instead.
-        raise ConfigurationError(
-            f"{active_provider_count()} engine provider(s) are installed but this "
-            "platform cannot fork worker processes; providers do not survive "
-            "spawn -- run with jobs=1 (or batch=False) inside engine_provider"
-        )
     context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
     units = partition_units(pending, descriptions, jobs)
     worker_count = min(jobs, len(units))

@@ -1,7 +1,7 @@
 """The condition-applying engine proxy and its installation scope.
 
 :class:`ConditionedEngine` wraps any :class:`~repro.simulator.engine.Engine`
-(reference, ``fast``, ``array``, or a batched arena lane) and applies a
+(``reference``, ``fast`` or any registered kernel) and applies a
 :class:`~repro.conditions.spec.NetworkCondition` to the traffic.  The
 design constraints, in order:
 
@@ -44,7 +44,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..exceptions import NonTerminationError, SimulationError
 from ..simulator.engine import Engine, engine_wrapper
-from ..simulator.message import Message
 from ..types import CostReport, normalize_edge, VertexId
 from .spec import NetworkCondition
 
@@ -76,8 +75,10 @@ class ConditionedEngine(Engine):
         self.metrics = inner.metrics
         self._fault_seed = f"{condition.seed}|{'' if run_seed is None else run_seed}"
         self._seq = 0
-        #: deferred messages as (due_round, seq, Message copy)
-        self._held: List[Tuple[int, int, Message]] = []
+        #: deferred messages as (due_round, seq, message); delivered
+        #: messages are immutable (frozen Message / FastMessage tuple),
+        #: so the delivered object itself is held
+        self._held: List[Tuple[int, int, Any]] = []
         #: per-directed-edge FIFO front: the latest delivery round already
         #: scheduled on that link.  Conditioned links stay FIFO -- a
         #: delayed message blocks later traffic on the same edge from
@@ -226,18 +227,6 @@ class ConditionedEngine(Engine):
                 delay += drawn
         return delay
 
-    @staticmethod
-    def _copy_message(message: Any) -> Message:
-        """Engine-agnostic copy for deferral (array inboxes are ephemeral)."""
-        return Message(
-            sender=message.sender,
-            receiver=message.receiver,
-            kind=message.kind,
-            payload=tuple(message.payload),
-            words=message.words,
-            sent_in_round=message.sent_in_round,
-        )
-
     # -- kernel contract ---------------------------------------------------
 
     def vertices(self):
@@ -320,7 +309,7 @@ class ConditionedEngine(Engine):
                     delivered.append(message)
                 else:
                     self.telemetry["delayed"] += 1
-                    self._held.append((due, seq, self._copy_message(message)))
+                    self._held.append((due, seq, message))
         inboxes: Dict[VertexId, List[Any]] = {}
         for message in delivered:
             inboxes.setdefault(message.receiver, []).append(message)
@@ -388,10 +377,10 @@ def condition_scope(
 
     Installed by :func:`repro.algorithms.run_algorithm` when the run's
     config carries a condition; rides the generic
-    :func:`~repro.simulator.engine.engine_wrapper` seam, so provider-
-    vended engines (batched arena lanes) are wrapped exactly like
-    registry-built ones.  Yields a :class:`ConditionScope` that collects
-    the wrapped engines and aggregates their fault telemetry.
+    :func:`~repro.simulator.engine.engine_wrapper` seam, so every engine
+    :func:`~repro.simulator.engine.create_engine` builds is wrapped.
+    Yields a :class:`ConditionScope` that collects the wrapped engines
+    and aggregates their fault telemetry.
     """
     scope = ConditionScope(condition)
 

@@ -35,11 +35,10 @@ class RunConfig:
             rounds or messages exceed the theorem bounds with the
             constants configured in :mod:`repro.verify.complexity_checks`.
         engine: name of the simulation kernel to run on
-            (``"reference"``, ``"fast"`` or -- with numpy installed --
-            ``"array"``; see :mod:`repro.simulator.engine`).  Every
-            kernel produces identical MST edges, round counts and
-            message counts -- the fast and array kernels only change
-            wall-clock time.
+            (``"reference"`` or ``"fast"``; see
+            :mod:`repro.simulator.engine`).  Every kernel produces
+            identical MST edges, round counts and message counts -- the
+            fast kernel only changes wall-clock time.
         seed: seed recorded for provenance (the algorithm itself is
             deterministic; the seed only describes the input generator
             that produced the graph).  ``run_single`` and the campaign

@@ -5,7 +5,7 @@ AST plus the light-weight semantic facts every rule needs:
 
 * an **import table** mapping local names to dotted qualified names, so
   a rule can recognise ``from ..engine import Engine`` and
-  ``import numpy as np`` alike;
+  ``import networkx as nx`` alike;
 * **class summaries** (:class:`ClassInfo`) with one-level base
   resolution, which is how rules identify ``Engine`` and
   ``NodeProtocol`` subclasses without importing anything;

@@ -31,10 +31,9 @@ from .engine import (
     create_engine,
     DEFAULT_ENGINE,
     Engine,
-    engine_provider,
     register_engine,
 )
-from .fast_network import BatchedEngine, FastMessage, FastNetwork
+from .fast_network import FastMessage, FastNetwork
 from .message import Message
 from .metrics import Metrics
 from .network import SyncNetwork
@@ -46,9 +45,7 @@ __all__ = [
     "Engine",
     "available_engines",
     "create_engine",
-    "engine_provider",
     "register_engine",
-    "BatchedEngine",
     "FastMessage",
     "FastNetwork",
     "Message",

@@ -13,12 +13,7 @@ ship with the package:
   explicit per-edge dictionaries);
 * ``"fast"`` -- :class:`~repro.simulator.fast_network.FastNetwork`, a
   batched kernel with dense vertex indexing, CSR-style adjacency, flat
-  per-edge bandwidth counters and bulk metric charging;
-* ``"array"`` -- :class:`~repro.simulator.array_network.ArrayNetwork`,
-  a numpy structure-of-arrays kernel (CSR adjacency as arrays,
-  vectorized neighbourhood broadcasts, array-reduction accounting);
-  registered only when numpy is importable, otherwise selecting it
-  raises an actionable :class:`~repro.exceptions.ConfigurationError`.
+  per-edge bandwidth counters and bulk metric charging.
 
 All engines implement the same model, round for round and message for
 message: switching engines changes wall-clock time only, never the
@@ -28,7 +23,8 @@ asserts this on a matrix of algorithms and graph families).
 Engines are selected by name through :func:`create_engine`, which is
 what :class:`~repro.config.RunConfig.engine` and the CLI's ``--engine``
 flag feed into.  Third-party kernels can join via
-:func:`register_engine`.
+:func:`register_engine`, and :func:`engine_wrapper` decorates every
+engine :func:`create_engine` hands out.
 """
 
 from __future__ import annotations
@@ -161,9 +157,9 @@ class Engine(abc.ABC):
         neighbour of ``sender`` in sorted-neighbour order, skipping
         ``exclude`` -- including the partial-commit behaviour on a
         bandwidth violation (messages to earlier neighbours stay queued,
-        the offending send raises).  Engines with vectorized internals
-        override this with a bulk implementation; this default keeps the
-        reference semantics in exactly one obvious loop.  Returns the
+        the offending send raises).  A kernel may override this with a
+        bulk implementation; this default keeps the reference semantics
+        in exactly one obvious loop.  Returns the
         number of messages queued.
         """
         send = self.send
@@ -214,11 +210,6 @@ EngineFactory = Callable[..., Engine]
 
 _REGISTRY: Dict[str, EngineFactory] = {}
 
-#: Engines that exist but cannot run in this environment (name -> why).
-#: Selecting one raises a :class:`ConfigurationError` carrying the
-#: recorded reason instead of the generic unknown-engine message.
-_UNAVAILABLE: Dict[str, str] = {}
-
 #: Name of the engine used when none is requested explicitly.
 DEFAULT_ENGINE = "reference"
 
@@ -231,26 +222,11 @@ def register_engine(name: str, factory: EngineFactory) -> None:
     """
     if not name or not isinstance(name, str):
         raise ConfigurationError(f"engine name must be a non-empty string, got {name!r}")
-    _UNAVAILABLE.pop(name, None)
     _REGISTRY[name] = factory
-
-
-def register_unavailable_engine(name: str, reason: str) -> None:
-    """Record that engine ``name`` exists but cannot run here.
-
-    Used by optional-dependency kernels (the ``array`` engine needs
-    numpy): the name stays out of :func:`available_engines`, and
-    selecting it raises an actionable error instead of "unknown engine".
-    """
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(f"engine name must be a non-empty string, got {name!r}")
-    _REGISTRY.pop(name, None)
-    _UNAVAILABLE[name] = reason
 
 
 def _ensure_builtin_engines() -> None:
     """Import the built-in kernels so they self-register (idempotent)."""
-    from . import array_network as _array_network  # noqa: F401
     from . import fast_network as _fast_network  # noqa: F401
     from . import network as _network  # noqa: F401
 
@@ -259,68 +235,6 @@ def available_engines() -> List[str]:
     """Names accepted by :func:`create_engine` (and the CLI's ``--engine``)."""
     _ensure_builtin_engines()
     return sorted(_REGISTRY)
-
-
-def unavailable_engines() -> Dict[str, str]:
-    """Engines that exist but cannot run here, mapped to the reason.
-
-    The ``array`` kernel without numpy is the canonical entry; the CLI's
-    ``engines`` subcommand surfaces this mapping so a missing optional
-    dependency is diagnosable without triggering the selection error.
-    """
-    _ensure_builtin_engines()
-    return dict(_UNAVAILABLE)
-
-
-def registered_factory(name: str) -> Optional[EngineFactory]:
-    """The factory currently registered under ``name`` (``None`` when absent).
-
-    Lets callers that special-case a kernel (the batched executor only
-    hands out arena lanes for the stock ``"fast"`` engine) detect when a
-    test or plugin has re-registered the name with something else.
-    """
-    _ensure_builtin_engines()
-    return _REGISTRY.get(name)
-
-
-#: A provider intercepting :func:`create_engine`: returns a prepared
-#: engine for ``(graph, bandwidth, engine_name)``, or ``None`` to fall
-#: through to the registry.
-EngineProvider = Callable[[nx.Graph, int, str], Optional[Engine]]
-
-_PROVIDERS: List[EngineProvider] = []
-
-
-@contextlib.contextmanager
-def engine_provider(provider: EngineProvider) -> Iterator[None]:
-    """Intercept :func:`create_engine` calls within the ``with`` block.
-
-    This is the seam the batched executor uses to hand algorithms
-    pre-packed :class:`~repro.simulator.fast_network.BatchedEngine`
-    lanes without changing the runner contract: algorithms keep calling
-    ``create_engine(graph, ...)``, and the innermost active provider may
-    answer with a prepared engine for that exact graph.  A provider
-    returning ``None`` falls through (to outer providers, then to the
-    registry), so interception is always safe.  Providers stack; the
-    mechanism is intentionally not thread-safe (the executors are
-    process-parallel, never thread-parallel).
-    """
-    _PROVIDERS.append(provider)
-    try:
-        yield
-    finally:
-        _PROVIDERS.pop()
-
-
-def active_provider_count() -> int:
-    """Number of :func:`engine_provider` interceptors currently installed.
-
-    Providers live in process-local state: ``fork``-started workers
-    inherit them, ``spawn``-started workers do not.  The jobs>1
-    scheduler consults this count to fail loudly instead of silently
-    running worker cells without the parent's provider.
-    """
-    return len(_PROVIDERS)
 
 
 #: A wrapper decorating engines :func:`create_engine` hands out:
@@ -334,27 +248,19 @@ _WRAPPERS: List[EngineWrapper] = []
 def engine_wrapper(wrapper: EngineWrapper) -> Iterator[None]:
     """Decorate every engine :func:`create_engine` returns in this block.
 
-    Where :func:`engine_provider` *replaces* construction (vending a
-    prepared kernel), a wrapper *decorates* whatever construction
-    produced -- a registry-built kernel or a provider-vended arena lane
-    alike.  This is the seam :mod:`repro.conditions` installs its
+    This is the seam :mod:`repro.conditions` installs its
     condition-applying proxy through: algorithms keep calling
     ``create_engine`` and receive the wrapped engine, so no kernel and
     no algorithm knows conditions exist.  Wrappers stack (installation
-    order, innermost-installed applied last) and, like providers, are
-    intentionally not thread-safe.
+    order, innermost-installed applied last) and are intentionally not
+    thread-safe (the executors are process-parallel, never
+    thread-parallel).
     """
     _WRAPPERS.append(wrapper)
     try:
         yield
     finally:
         _WRAPPERS.pop()
-
-
-def _apply_wrappers(engine_obj: Engine, graph: nx.Graph, bandwidth: int, name: str) -> Engine:
-    for wrapper in _WRAPPERS:
-        engine_obj = wrapper(engine_obj, graph, bandwidth, name)
-    return engine_obj
 
 
 def create_engine(
@@ -370,30 +276,20 @@ def create_engine(
         bandwidth: the ``b`` of CONGEST(b log n).
         validate: run input validation (disable in tight loops where the
             caller has already validated the graph).
-        engine: registered engine name (``"reference"``, ``"fast"`` or
-            -- with numpy installed -- ``"array"`` out of the box).
+        engine: registered engine name (``"reference"`` or ``"fast"``
+            out of the box).
 
     Raises:
         ConfigurationError: when ``engine`` is not a registered name.
     """
-    if _PROVIDERS:
-        for provider in reversed(_PROVIDERS):
-            provided = provider(graph, bandwidth, engine)
-            if provided is not None:
-                return _apply_wrappers(provided, graph, bandwidth, engine)
     _ensure_builtin_engines()
     try:
         factory = _REGISTRY[engine]
     except KeyError:
-        reason = _UNAVAILABLE.get(engine)
-        if reason is not None:
-            raise ConfigurationError(
-                f"engine {engine!r} is not available: {reason}"
-            ) from None
         raise ConfigurationError(
             f"unknown engine {engine!r}; available: {', '.join(sorted(_REGISTRY))}"
         ) from None
     built = factory(graph, bandwidth=bandwidth, validate=validate)
-    if _WRAPPERS:
-        built = _apply_wrappers(built, graph, bandwidth, engine)
+    for wrapper in _WRAPPERS:
+        built = wrapper(built, graph, bandwidth, engine)
     return built

@@ -66,8 +66,7 @@ class ProtocolApi:
 
         Equivalent to calling :meth:`send` once per neighbour in
         sorted-neighbour order (skipping ``exclude``), but the kind is
-        namespaced once and array-backed kernels broadcast with a single
-        vectorized scatter.  Returns the number of messages queued.
+        namespaced once.  Returns the number of messages queued.
         """
         return self._network.send_to_neighbors(
             sender, f"{self._protocol_name}:{kind}", payload, words, exclude

@@ -1,12 +1,9 @@
-"""Batched execution: byte-identity with the per-cell path, and the arena.
+"""Batched execution: byte-identity with the per-cell path.
 
 The contract under test: ``execute_campaign(batch=True)`` (and the
 default in-process batching) produces rows, store records and resume
 behaviour *byte-identical* to the per-cell serial executor over the same
-grid -- batching buys wall-clock time only.  Plus unit coverage of
-:class:`repro.simulator.fast_network.BatchedEngine` lanes: identical
-kernel semantics to a standalone ``FastNetwork``, state isolation across
-re-vends, and bandwidth enforcement.
+grid -- batching buys wall-clock time only.
 """
 
 from __future__ import annotations
@@ -21,22 +18,10 @@ from repro.algorithms import run_algorithm
 from repro.campaign import Campaign, execute_campaign, RunStore
 from repro.campaign.scheduler import partition_units
 from repro.campaign.spec import graph_spec_for
-from repro.config import RunConfig
-from repro.core.elkin_mst import compute_mst
-from repro.exceptions import (
-    BandwidthExceededError,
-    ConfigurationError,
-    SimulationError,
-    VerificationError,
-)
+from repro.exceptions import SimulationError, VerificationError
 from repro.graphs.generators import GraphSpec, make_graph
-from repro.simulator.engine import (
-    active_provider_count,
-    create_engine,
-    engine_provider,
-    register_engine,
-)
-from repro.simulator.fast_network import BatchedEngine, FastNetwork
+from repro.simulator.engine import register_engine
+from repro.simulator.fast_network import FastNetwork
 from repro.verify.mst_checks import MSTOracle
 
 
@@ -156,8 +141,7 @@ class TestBatchedEquivalence:
 
     def test_batched_stands_down_when_fast_engine_is_replaced(self):
         # A re-registered "fast" kernel must be honoured: the batch
-        # runner detects the substitution and constructs engines
-        # normally instead of vending stock-FastNetwork lanes.
+        # runner constructs every engine through the registry.
         created = []
 
         class CountingFast(FastNetwork):
@@ -407,96 +391,6 @@ class TestWorkUnits:
         assert [len(unit.cells) for unit in merged] == [8, 8]
 
 
-class TestBatchedEngineLanes:
-    def test_lane_reports_identical_results_to_standalone(self):
-        graph = make_graph("random_connected", n=20, seed=3)
-        arena = BatchedEngine([graph])
-        baseline = compute_mst(graph, RunConfig(engine="fast"))
-        for _ in range(3):  # re-vends must be state-clean
-            vended = []
-
-            def provider(candidate, bandwidth, name):
-                if name == "fast" and candidate is graph and not vended:
-                    vended.append(True)
-                    return arena.lane(candidate, bandwidth)
-                return None
-
-            with engine_provider(provider):
-                result = compute_mst(graph, RunConfig(engine="fast"))
-            assert result.to_json_dict() == baseline.to_json_dict()
-
-    def test_lanes_share_one_dense_index_space(self):
-        graphs = [
-            make_graph("random_connected", n=12, seed=s) for s in range(4)
-        ]
-        arena = BatchedEngine(graphs)
-        assert arena.graph_count == 4
-        assert arena.total_vertices == sum(g.number_of_nodes() for g in graphs)
-        assert arena.total_slots == sum(2 * g.number_of_edges() for g in graphs)
-        lanes = [arena.lane(g) for g in graphs]
-        # All lanes alias the same flat arena arrays.
-        assert len({id(lane._nbr_weight) for lane in lanes}) == 1
-
-    def test_lane_bandwidth_enforcement(self):
-        graph = make_graph("path", n=4, seed=0)
-        arena = BatchedEngine([graph])
-        lane = arena.lane(graph, bandwidth=1)
-        lane.send(0, 1, "a")
-        with pytest.raises(BandwidthExceededError):
-            lane.send(0, 1, "b")
-        # A fresh vend resets the counters by generation stamping.
-        lane = arena.lane(graph, bandwidth=1)
-        lane.send(0, 1, "a")
-
-    def test_lane_reset_clears_messages_and_scratch(self):
-        graph = make_graph("path", n=4, seed=0)
-        arena = BatchedEngine([graph])
-        lane = arena.lane(graph)
-        lane.send(0, 1, "stale")
-        lane.node(0).scratch("proto")["key"] = "value"
-        lane = arena.lane(graph)
-        assert lane.pending_count() == 0
-        assert lane.node(0).memory == {}
-        assert lane.metrics.rounds == 0
-
-    def test_distinct_bandwidth_lanes_coexist(self):
-        graph = make_graph("random_connected", n=16, seed=1)
-        arena = BatchedEngine([graph])
-        for bandwidth in (1, 2, 1, 4, 2):
-            expected = compute_mst(graph, RunConfig(engine="fast", bandwidth=bandwidth))
-            vended = []
-
-            def provider(candidate, bw, name):
-                if name == "fast" and not vended:
-                    vended.append(True)
-                    return arena.lane(candidate, bw)
-                return None
-
-            with engine_provider(provider):
-                result = compute_mst(
-                    graph, RunConfig(engine="fast", bandwidth=bandwidth)
-                )
-            assert result.to_json_dict() == expected.to_json_dict()
-
-    def test_unpacked_graph_is_rejected(self):
-        arena = BatchedEngine([])
-        with pytest.raises(SimulationError, match="not part of this batch"):
-            arena.lane(make_graph("path", n=3, seed=0))
-
-    def test_add_graph_is_idempotent_by_identity(self):
-        graph = make_graph("path", n=5, seed=0)
-        arena = BatchedEngine([graph])
-        slots = arena.total_slots
-        arena.add_graph(graph)
-        assert arena.total_slots == slots
-
-    def test_provider_fallthrough_reaches_registry(self):
-        graph = make_graph("path", n=4, seed=0)
-        with engine_provider(lambda g, b, name: None):
-            engine = create_engine(graph, engine="fast")
-        assert isinstance(engine, FastNetwork)
-
-
 class TestConditionedExecutionEquivalence:
     """The condition axis joins the byte-identity matrix.
 
@@ -555,107 +449,6 @@ class TestConditionedExecutionEquivalence:
         store = RunStore(store_path)
         for key in crash_keys:
             assert store.get_result(key).details["non_terminated"] is True
-
-
-class TestProviderEdgeCases:
-    """engine_provider under nesting, failure, and the jobs>1 scheduler."""
-
-    def test_nested_providers_innermost_wins(self):
-        graph = make_graph("path", n=4, seed=0)
-        outer_engine = FastNetwork(graph)
-        inner_engine = FastNetwork(graph)
-        consulted = []
-
-        def outer(g, b, name):
-            consulted.append("outer")
-            return outer_engine
-
-        def inner(g, b, name):
-            consulted.append("inner")
-            return inner_engine
-
-        with engine_provider(outer):
-            with engine_provider(inner):
-                assert create_engine(graph, engine="fast") is inner_engine
-                assert consulted == ["inner"]  # outer never reached
-            assert create_engine(graph, engine="fast") is outer_engine
-
-    def test_nested_provider_none_falls_through_to_outer(self):
-        graph = make_graph("path", n=4, seed=0)
-        outer_engine = FastNetwork(graph)
-        with engine_provider(lambda g, b, name: outer_engine):
-            with engine_provider(lambda g, b, name: None):
-                assert create_engine(graph, engine="fast") is outer_engine
-
-    def test_provider_raising_mid_campaign_propagates_and_unwinds(self):
-        campaign = Campaign.from_grid(
-            "provider-raises",
-            [graph_spec_for("random_connected", 16)],
-            algorithms=("elkin",),
-            seeds=(0, 1, 2),
-        )
-        calls = []
-
-        def flaky(graph, bandwidth, name):
-            calls.append(name)
-            if len(calls) >= 2:
-                raise RuntimeError("provider backend went away")
-            return None
-
-        with pytest.raises(RuntimeError, match="went away"):
-            with engine_provider(flaky):
-                execute_campaign(campaign, batch=False)
-        assert len(calls) >= 2
-        # The stack unwound: later runs are provider-free and succeed.
-        assert active_provider_count() == 0
-        report = execute_campaign(campaign, batch=False)
-        assert report.executed == len(campaign)
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="provider inheritance into workers requires fork",
-    )
-    def test_scheduler_workers_see_the_parents_provider(self, tmp_path):
-        # The provider substitutes a bandwidth-4 kernel whenever the
-        # campaign asks for the reference engine at bandwidth 1 -- an
-        # observable change (round counts drop).  Forked workers must
-        # consult the same provider, so the scheduled rows match the
-        # serial rows produced under the provider and differ from the
-        # provider-free baseline.
-        campaign = Campaign.from_grid(
-            "provider-jobs",
-            [
-                graph_spec_for("random_connected", 20),
-                graph_spec_for("random_connected", 24),
-            ],
-            algorithms=("elkin",),
-            engines=("reference",),
-            seeds=(0,),
-        )
-        bare = execute_campaign(campaign, batch=False)
-
-        def provider(graph, bandwidth, name):
-            if name == "reference" and bandwidth == 1:
-                return FastNetwork(graph, bandwidth=4)
-            return None
-
-        with engine_provider(provider):
-            serial = execute_campaign(campaign, batch=False)
-            pooled = execute_campaign(campaign, jobs=2)
-        assert serial.rows == pooled.rows
-        assert [row["rounds"] for row in serial.rows] != [
-            row["rounds"] for row in bare.rows
-        ]
-
-    def test_scheduler_fails_loudly_without_fork(self, monkeypatch):
-        campaign = _sixteen_cell_grid()
-        monkeypatch.setattr(
-            "repro.campaign.scheduler.multiprocessing.get_all_start_methods",
-            lambda: ["spawn"],
-        )
-        with engine_provider(lambda g, b, name: None):
-            with pytest.raises(ConfigurationError, match="cannot fork"):
-                execute_campaign(campaign, jobs=2)
 
 
 class TestMSTOracle:

@@ -161,23 +161,6 @@ class TestEnginesCommand:
         assert "available" in captured
         assert "default engine: reference" in captured
 
-    def test_lists_unavailable_engines_with_the_reason(self, capsys):
-        from repro.simulator.engine import (
-            register_engine,
-            register_unavailable_engine,
-            registered_factory,
-        )
-
-        factory = registered_factory("fast")
-        register_unavailable_engine("fast", "simulated outage for the test")
-        try:
-            assert main(["engines"]) == 0
-            captured = capsys.readouterr().out
-            assert "unavailable" in captured
-            assert "simulated outage" in captured
-        finally:
-            register_engine("fast", factory)
-
 
 class TestConditionOption:
     def test_run_and_sweep_parsers_accept_condition(self):

@@ -42,15 +42,8 @@ from repro.graphs.generators import make_graph
 from repro.simulator.fast_network import FastNetwork
 from repro.verify.complexity_checks import assert_elkin_bounds
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
 #: Every registered kernel joins the conditioned byte-identity matrix.
-ALL_ENGINES = ["reference", "fast"] + (["array"] if HAVE_NUMPY else [])
+ALL_ENGINES = ["reference", "fast"]
 
 
 class TestConditionSpec:

@@ -2,8 +2,8 @@
 
 Every algorithm in the library is run on the same instance once per
 engine -- the reference kernel (``engine="reference"``) against each
-optimized comparand (``engine="fast"``, and ``engine="array"`` when
-numpy is installed) -- and the executions must agree exactly: identical
+optimized comparand (``engine="fast"``) -- and the executions must
+agree exactly: identical
 MST edge sets, identical round counts, identical message and word
 counts, and (where the network is in hand) identical per-kind message
 histograms.  This is the contract that makes the optimized kernels safe
@@ -32,15 +32,8 @@ from repro.simulator.primitives.bfs import build_bfs_tree
 from repro.simulator.primitives.neighbor_exchange import neighbor_exchange
 from repro.types import normalize_edge
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
 #: The optimized kernels compared against the reference execution.
-OTHER_ENGINES = ["fast"] + (["array"] if HAVE_NUMPY else [])
+OTHER_ENGINES = ["fast"]
 
 #: Graph families the equivalence matrix covers (label -> builder).
 GRAPH_FAMILIES = {
@@ -168,10 +161,9 @@ def test_elkin_identical_across_engines_under_bandwidth(bandwidth, other):
 def _point_send_storm(graph, engine_name):
     """A protocol round mix dominated by single-target sends.
 
-    Exercises the point-send path (staged in Python lists on the array
-    kernel) interleaved with whole-neighbourhood broadcasts across
-    several rounds, reading every delivered message: the trace below
-    must not depend on the engine.
+    Exercises the point-send path interleaved with whole-neighbourhood
+    broadcasts across several rounds, reading every delivered message:
+    the trace below must not depend on the engine.
     """
     network = create_engine(graph, bandwidth=2, engine=engine_name)
     vertices = sorted(network.vertices())
@@ -182,8 +174,8 @@ def _point_send_storm(graph, engine_name):
             target = neighbors[round_index % len(neighbors)]
             network.send(vertex, target, "probe", payload=(vertex, round_index))
         if round_index % 2:
-            # Every other round mixes a broadcast in, so staged point
-            # sends must flush ahead of it in global send order.
+            # Every other round mixes a broadcast in; point sends stay
+            # ahead of it in global send order.
             network.send_to_neighbors(vertices[0], "blast", words=1)
         inboxes = network.deliver_round()
         for receiver in inboxes:

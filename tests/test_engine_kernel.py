@@ -17,14 +17,7 @@ from repro.simulator.engine import available_engines, create_engine, DEFAULT_ENG
 from repro.simulator.fast_network import FastNetwork
 from repro.simulator.network import SyncNetwork
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
-ENGINES = ["reference", "fast"] + (["array"] if HAVE_NUMPY else [])
+ENGINES = ["reference", "fast"]
 
 
 def make(engine, graph, bandwidth=1):

@@ -19,8 +19,6 @@ import json
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.algorithms import available_algorithms
 from repro.campaign import Campaign, execute_campaign
 from repro.campaign.spec import RunSpec
@@ -118,43 +116,6 @@ class TestGoldenRegression:
                 b["messages"],
                 b["weight"],
             ), f"engines disagree on {key}"
-
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the array engine needs numpy")
-class TestGoldenRegressionArrayEngine:
-    """The numpy kernel against the same pinned rows.
-
-    The fixture itself stays at (reference, fast) so it also loads on a
-    numpy-less interpreter; here every golden cell is recomputed under
-    ``engine="array"`` and must match the pinned reference-engine row
-    byte for byte (modulo the engine column itself).
-    """
-
-    def test_array_rows_match_the_pinned_reference_rows(self):
-        golden = [row for row in _load_golden() if row["engine"] == "reference"]
-        specs = [
-            RunSpec(graph=graph, algorithm=algorithm, engine="array")
-            for graph in GOLDEN_GRAPHS
-            for algorithm in available_algorithms()
-        ]
-        report = execute_campaign(Campaign(name="golden-array", specs=specs))
-        current = [_pin(row) for row in report.rows]
-        assert len(golden) == len(current)
-        for expected, actual in zip(golden, current):
-            expected = json.loads(json.dumps(dict(expected, engine="array")))
-            actual = json.loads(json.dumps(actual))
-            assert actual == expected, (
-                f"array-engine drift on {expected['graph']} / "
-                f"{expected['algorithm']}: expected {expected}, got {actual}"
-            )
 
 
 def _regenerate() -> None:

@@ -21,6 +21,9 @@ manifest and include it in the same commit)::
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -51,3 +54,14 @@ def test_every_export_resolves():
 def test_no_duplicate_exports():
     for module in (repro, repro.api):
         assert len(module.__all__) == len(set(module.__all__))
+
+
+def test_import_loads_no_numpy():
+    # The package runs on networkx alone: importing it in a fresh
+    # interpreter must not pull numpy in.
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    probe = "import sys, repro; print('numpy' in sys.modules)"
+    completed = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert completed.stdout.strip() == "False"

@@ -187,6 +187,8 @@ class TestFitting:
             fit_power_law([1], [1])
         with pytest.raises(ReproError):
             fit_power_law([1, -2], [1, 2])
+        with pytest.raises(ReproError, match="two distinct x values"):
+            fit_power_law([2, 2, 2], [3, 5, 7])
 
     def test_ratio_series(self):
         assert ratio_series([2, 9], [1, 3]) == [2.0, 3.0]
