@@ -1,23 +1,21 @@
-"""E17 (engineering): report latency, materialized columnar vs JSONL rescan.
+"""E17 (engineering): report latency, columnar ``run_rows`` report vs JSONL rescan.
 
 ``repro-mst report`` over a JSONL store must parse every physical
 record -- spec, result (with telemetry) and provenance payloads
 included -- before the analysis sees a single row.  The columnar
 backend stores the report-facing row projection in its own ``run_rows``
-table and keeps the bound-audit counters and power-law sufficient
-statistics materialized incrementally at append time, so a report
-answers from the row projection alone and the full payloads stay cold
-on disk.
+table, so a report scans that projection alone and the full payloads
+stay cold on disk.
 
 This benchmark synthesizes a >=10^5-row store (one real simulated
 payload per graph size, replicated across distinct seeds so every
 record carries a distinct content-hashed key), renders the report both
 ways, and asserts:
 
-* the materialized columnar report clears a >=5x latency floor over the
+* the columnar ``run_rows`` report clears a >=5x latency floor over the
   full JSONL rescan (``REPRO_E17_MIN_SPEEDUP`` overrides; CI relaxes it
   for shared runners -- never lower it locally to make a PR pass);
-* the analyses are *identical* -- materialized vs ``full_rescan=True``
+* the analyses are *identical* -- ``run_rows`` vs ``full_rescan=True``
   vs the JSONL backend -- down to the rendered markdown bytes.
 
 ``REPRO_E17_WRITE_JSON=<path>`` additionally writes the measured table
@@ -36,7 +34,7 @@ from repro.analysis.report import analyze_store, render_markdown
 from repro.campaign import ColumnarStore, graph_spec_for, run_spec, RunStore
 from repro.campaign.spec import RunSpec
 
-#: Hard floor for the materialized-report-vs-JSONL-rescan latency ratio.
+#: Hard floor for the columnar-report-vs-JSONL-rescan latency ratio.
 MIN_SPEEDUP = float(os.environ.get("REPRO_E17_MIN_SPEEDUP", "5.0"))
 ROWS = int(os.environ.get("REPRO_E17_ROWS", "100000"))
 SIZES = (16, 32, 64)
@@ -78,7 +76,7 @@ def _timed_report(path, backend_cls, **analyze_kwargs):
     return time.perf_counter() - start, analysis, document
 
 
-def test_e17_materialized_report_latency(benchmark, record, tmp_path):
+def test_e17_columnar_report_latency(benchmark, record, tmp_path):
     payloads = _payloads()
     jsonl_path = tmp_path / "runs.jsonl"
     columnar_path = tmp_path / "runs.sqlite"
@@ -93,7 +91,7 @@ def test_e17_materialized_report_latency(benchmark, record, tmp_path):
         )
         return {
             "jsonl": (jsonl_seconds, jsonl_analysis, jsonl_doc),
-            "materialized": (fast_seconds, fast_analysis, fast_doc),
+            "columnar": (fast_seconds, fast_analysis, fast_doc),
             "full_rescan": (rescan_seconds, rescan_analysis, rescan_doc),
         }
 
@@ -110,13 +108,13 @@ def test_e17_materialized_report_latency(benchmark, record, tmp_path):
         for name, (seconds, _, _) in (
             ("jsonl full rescan", reports["jsonl"]),
             ("columnar full rescan", reports["full_rescan"]),
-            ("columnar materialized", reports["materialized"]),
+            ("columnar run_rows", reports["columnar"]),
         )
     ]
-    speedup = jsonl_seconds / reports["materialized"][0]
+    speedup = jsonl_seconds / reports["columnar"][0]
     benchmark.extra_info["rows_in_store"] = ROWS
-    benchmark.extra_info["materialized_speedup"] = round(speedup, 3)
-    record("E17: report latency, materialized columnar vs JSONL rescan", rows)
+    benchmark.extra_info["columnar_speedup"] = round(speedup, 3)
+    record("E17: report latency, columnar run_rows report vs JSONL rescan", rows)
 
     json_path = os.environ.get("REPRO_E17_WRITE_JSON")
     if json_path:
@@ -124,10 +122,10 @@ def test_e17_materialized_report_latency(benchmark, record, tmp_path):
             json.dump(
                 {
                     "experiment": (
-                        "E17: report latency, materialized columnar vs JSONL rescan"
+                        "E17: report latency, columnar run_rows report vs JSONL rescan"
                     ),
                     "min_speedup_floor": MIN_SPEEDUP,
-                    "materialized_speedup": round(speedup, 3),
+                    "columnar_speedup": round(speedup, 3),
                     "rows": rows,
                 },
                 handle,
@@ -136,9 +134,9 @@ def test_e17_materialized_report_latency(benchmark, record, tmp_path):
             handle.write("\n")
 
     # Correctness before speed: all three paths agree to the byte.
-    assert reports["materialized"][1] == reports["full_rescan"][1] == reports["jsonl"][1]
-    assert reports["materialized"][2] == reports["full_rescan"][2] == reports["jsonl"][2]
-    assert "bound-violation count: **0**" in reports["materialized"][2]
+    assert reports["columnar"][1] == reports["full_rescan"][1] == reports["jsonl"][1]
+    assert reports["columnar"][2] == reports["full_rescan"][2] == reports["jsonl"][2]
+    assert "bound-violation count: **0**" in reports["columnar"][2]
     assert (
         speedup >= MIN_SPEEDUP
-    ), f"materialized report speedup {speedup:.2f}x below the {MIN_SPEEDUP}x floor"
+    ), f"columnar report speedup {speedup:.2f}x below the {MIN_SPEEDUP}x floor"

@@ -27,7 +27,18 @@ thin shims over these two calls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Protocol,
+    runtime_checkable,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..exceptions import ReproError
 from .bounds import elkin_message_bound_formula, elkin_time_bound_formula
@@ -346,38 +357,28 @@ def analyze_rows(rows: Iterable[Row]) -> CampaignAnalysis:
     return analysis
 
 
-def analyze_store(store: "RunStoreLike", full_rescan: bool = False) -> CampaignAnalysis:
+@runtime_checkable
+class RunStoreLike(Protocol):
+    """Anything with ``iter_rows() -> Iterable[Row]``: every run store backend."""
+
+    def iter_rows(self) -> Iterable[Row]: ...
+
+
+def analyze_store(store: RunStoreLike, full_rescan: bool = False) -> CampaignAnalysis:
     """:func:`analyze_rows` over everything a run store holds.
 
     The default path consumes ``store.iter_rows()`` -- for the columnar
-    backend that is the materialized ``run_rows`` table, no result
-    payloads touched -- and, when the store also maintains incremental
-    analytics (``materialized_summary()``), cross-checks the
-    materialized audit counters against the scan so drifted incremental
-    state fails loudly instead of mis-reporting.  ``full_rescan=True``
-    is the escape hatch: re-derive every row from the raw record
-    payloads (``iter_rows_full_rescan``) and skip the materialized
-    state entirely; tests assert both paths are byte-identical.
+    backend that is a scan of the ``run_rows`` projection, no result
+    payloads touched.  ``full_rescan=True`` is the escape hatch:
+    re-derive every row from the raw record payloads
+    (``iter_rows_full_rescan``, where the store has one); tests assert
+    both paths are byte-identical.
     """
     if full_rescan:
         rescan = getattr(store, "iter_rows_full_rescan", None)
         if rescan is not None:
             return analyze_rows(rescan())
-        return analyze_rows(store.iter_rows())
-    analysis = analyze_rows(store.iter_rows())
-    summarize = getattr(store, "materialized_summary", None)
-    if summarize is not None:
-        from .incremental import verify_summary
-
-        verify_summary(summarize(), analysis)
-    return analysis
-
-
-class RunStoreLike:
-    """Typing stand-in: anything with ``iter_rows() -> Iterator[Row]``."""
-
-    def iter_rows(self) -> Iterable[Row]:  # pragma: no cover - protocol only
-        raise NotImplementedError
+    return analyze_rows(store.iter_rows())
 
 
 # -- rendering -----------------------------------------------------------
@@ -528,10 +529,10 @@ def write_report(
     written there.  ``full_rescan`` forwards to :func:`analyze_store`
     (ignored for plain row iterables).  Returns the rendered markdown.
     """
-    if hasattr(source, "iter_rows"):
-        analysis = analyze_store(source, full_rescan=full_rescan)  # type: ignore[arg-type]
+    if isinstance(source, RunStoreLike):
+        analysis = analyze_store(source, full_rescan=full_rescan)
     else:
-        analysis = analyze_rows(source)  # type: ignore[arg-type]
+        analysis = analyze_rows(source)
     document = render_markdown(analysis, title=title)
     if output is not None:
         from pathlib import Path

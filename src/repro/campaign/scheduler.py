@@ -245,7 +245,7 @@ def run_scheduled(
         tasks.put(None)  # one sentinel per worker, after every unit
 
     shard_root = tempfile.mkdtemp(prefix="repro-campaign-shards-")
-    shard_backend = getattr(store, "backend_name", "jsonl")
+    shard_backend = store.backend_name
     specs_by_index = {index: spec for index, spec, _ in pending}
     fresh: Dict[int, Dict[str, object]] = {}
     described = 0

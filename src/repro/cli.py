@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--full-rescan",
         action="store_true",
         help="re-derive every row from the raw record payloads instead of "
-        "the materialized state (columnar stores; byte-identical output, "
+        "the run_rows projection (columnar stores; byte-identical output, "
         "slower -- the escape hatch the E17 benchmark measures against)",
     )
     report_parser.add_argument(

@@ -1,4 +1,4 @@
-"""Columnar (sqlite) run-store backend and incremental materialization.
+"""Columnar (sqlite) run-store backend.
 
 The equivalence matrix here is the gate ROADMAP item 5 demands: the
 JSONL file, sharded-directory and columnar backends must produce
@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sqlite3
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.fitting import fit_power_law
-from repro.analysis.incremental import MaterializedAnalytics, PowerLawStats, verify_summary
 from repro.analysis.report import analyze_rows, analyze_store, render_markdown
 from repro.campaign import (
     Campaign,
@@ -27,10 +26,11 @@ from repro.campaign import (
     open_store,
     RunStore,
 )
+from repro.campaign.columnar import _ROW_COLUMNS
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import detect_backend
 from repro.cli import main
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import ConfigurationError
 
 GOLDEN_ROWS = Path(__file__).parent / "golden_rows.jsonl"
 
@@ -199,6 +199,33 @@ class TestColumnarContract:
         assert store.get_provenance(key) == {"p": 1}
         store.close()
 
+    def test_failed_commit_rolls_back_and_retry_commits_every_row(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "runs.sqlite"
+        store = ColumnarStore(path, batch_size=64)
+        for index in range(5):
+            store.record_run(_spec(index), {"graph": "g", "i": index}, {}, {})
+        calls = []
+
+        def interrupted_once(value):
+            # Fault on the second record, after the first one's inserts ran.
+            calls.append(value)
+            if len(calls) == len(_ROW_COLUMNS) + 1:
+                raise KeyboardInterrupt
+            return ColumnarStore._scalar(value)
+
+        monkeypatch.setattr(store, "_scalar", interrupted_once)
+        with pytest.raises(KeyboardInterrupt):
+            store.flush()
+        assert store.stats["commits"] == 0
+        store.flush()
+        assert store.stats["commits"] == 1
+        store.close()
+        with ColumnarStore(path, read_only=True) as reloaded:
+            assert [row["i"] for row in reloaded.iter_rows()] == list(range(5))
+            assert len(list(reloaded.iter_record_lines())) == 5
+
     def test_compact_drops_superseded_and_is_idempotent(self, tmp_path):
         path = tmp_path / "runs.sqlite"
         store = ColumnarStore(path)
@@ -356,112 +383,60 @@ class TestConvert:
             )
 
 
-class TestIncrementalAnalytics:
-    def test_sufficient_statistics_match_lstsq_fit(self):
-        xs = [16.0, 32.0, 64.0, 128.0, 256.0]
-        ys = [42.0, 118.0, 355.0, 980.0, 2605.0]
-        stats = PowerLawStats()
-        for x, y in zip(xs, ys):
-            stats.add(x, y)
-        closed, direct = stats.fit(), fit_power_law(xs, ys)
-        assert closed.exponent == pytest.approx(direct.exponent, rel=1e-9)
-        assert closed.scale == pytest.approx(direct.scale, rel=1e-9)
-        assert closed.residual == pytest.approx(direct.residual, abs=1e-12)
-
-    def test_no_fit_without_spread(self):
-        stats = PowerLawStats()
-        stats.add(16.0, 42.0)
-        stats.add(16.0, 48.0)
-        assert stats.fit() is None
-
-    def test_materialized_matches_full_analysis_on_golden_rows(self):
-        rows = _golden_rows()
-        analytics = MaterializedAnalytics.from_rows(rows)
-        analysis = analyze_rows(rows)
-        verify_summary(analytics.summary(), analysis)  # exact counters
-        incremental_fits = analytics.fits()
-        assert len(incremental_fits) == len(analysis.fits)
-        for ours, theirs in zip(incremental_fits, analysis.fits):
-            assert (ours.algorithm, ours.metric, ours.x_name, ours.points) == (
-                theirs.algorithm,
-                theirs.metric,
-                theirs.x_name,
-                theirs.points,
-            )
-            assert ours.note == theirs.note and ours.reference == theirs.reference
-            if theirs.fit is None:
-                assert ours.fit is None
-            else:
-                assert ours.fit.exponent == pytest.approx(theirs.fit.exponent, rel=1e-9)
-                assert ours.fit.scale == pytest.approx(theirs.fit.scale, rel=1e-9)
-                assert ours.fit.residual == pytest.approx(theirs.fit.residual, abs=1e-9)
-
-    def test_json_round_trip_preserves_summary(self):
-        analytics = MaterializedAnalytics.from_rows(_golden_rows())
-        clone = MaterializedAnalytics.from_json_dict(
-            json.loads(json.dumps(analytics.to_json_dict()))
-        )
-        assert clone.summary() == analytics.summary()
-
-    def test_verify_summary_raises_on_drift(self):
-        rows = _golden_rows()
-        analysis = analyze_rows(rows)
-        summary = MaterializedAnalytics.from_rows(rows).summary()
-        summary["bound_checked"] += 1
-        with pytest.raises(ReproError, match="drifted"):
-            verify_summary(summary, analysis)
-
-
-class TestMaterializedReport:
-    def test_materialized_and_full_rescan_are_byte_identical(self, tmp_path):
+class TestColumnarReport:
+    def test_run_rows_and_full_rescan_are_byte_identical(self, tmp_path):
         path = tmp_path / "runs.sqlite"
         with ColumnarStore(path) as store:
             execute_campaign(_campaign(), store=store)
         with ColumnarStore(path, read_only=True) as store:
+            assert list(store.iter_rows()) == list(store.iter_rows_full_rescan())
             fast = render_markdown(analyze_store(store))
             slow = render_markdown(analyze_store(store, full_rescan=True))
         assert fast == slow
 
-    def test_summary_matches_scan_and_survives_reopen(self, tmp_path, monkeypatch):
-        path = tmp_path / "runs.sqlite"
-        with ColumnarStore(path) as store:
-            execute_campaign(_campaign(), store=store)
-            expected = store.materialized_summary()
-        # Reopened store answers from the persisted meta state: rebuild
-        # is forbidden below, so any miss would explode.
-        monkeypatch.setattr(
-            MaterializedAnalytics,
-            "from_rows",
-            classmethod(lambda *a, **k: (_ for _ in ()).throw(AssertionError("rebuilt"))),
-        )
-        with ColumnarStore(path, read_only=True) as store:
-            summary = store.materialized_summary()
-            assert summary == expected
-            assert summary["bound_violations"] == 0
-            verify_summary(summary, analyze_rows(store.iter_rows()))
-
-    def test_superseding_append_rebuilds_analytics(self, tmp_path):
-        path = tmp_path / "runs.sqlite"
+    def test_superseding_append_keeps_run_rows_in_step(self, tmp_path):
         campaign = _campaign(sizes=(8, 12), algorithms=("elkin",))
-        with ColumnarStore(path) as store:
-            execute_campaign(campaign, store=store)
+        stores = (RunStore(tmp_path / "runs.jsonl"), ColumnarStore(tmp_path / "runs.sqlite"))
+        for store in stores:
+            report = execute_campaign(campaign, store=store)
             execute_campaign(campaign, store=store, resume=False)  # supersedes
-            assert store._physical_records > len(store)
-            verify_summary(
-                store.materialized_summary(), analyze_rows(store.iter_rows())
-            )
+            changed = dict(report.rows[0], rounds=int(report.rows[0]["rounds"]) + 1)
+            store.record_run(campaign.specs[0], changed, {}, {})
+        jsonl, columnar = stores
+        assert columnar._physical_records > len(columnar)
+        rows = list(columnar.iter_rows())
+        assert rows == list(columnar.iter_rows_full_rescan())
+        assert rows[0]["rounds"] == changed["rounds"]
+        assert render_markdown(analyze_store(columnar)) == render_markdown(
+            analyze_store(jsonl)
+        )
+        for store in stores:
+            store.close()
 
-    def test_analyze_store_detects_drifted_analytics(self, tmp_path, monkeypatch):
+    def test_store_with_retired_meta_rows_still_reports(self, tmp_path):
         path = tmp_path / "runs.sqlite"
         with ColumnarStore(path) as store:
-            execute_campaign(_campaign(sizes=(8,), algorithms=("elkin",)), store=store)
-        store = ColumnarStore(path, read_only=True)
-        broken = store.materialized_summary()
-        broken["rows"] += 7
-        monkeypatch.setattr(store, "materialized_summary", lambda: broken)
-        with pytest.raises(ReproError, match="drifted"):
-            analyze_store(store)
-        store.close()
+            execute_campaign(_campaign(sizes=(8, 12)), store=store)
+        with ColumnarStore(path, read_only=True) as store:
+            expected = render_markdown(analyze_store(store))
+        # Earlier versions persisted report aggregates under these keys.
+        connection = sqlite3.connect(str(path))
+        with connection:
+            connection.executemany(
+                "INSERT OR REPLACE INTO meta (k, v) VALUES (?, ?)",
+                [
+                    ("analytics", json.dumps({"rows": 999, "bound_violations": 5})),
+                    ("analytics_state", json.dumps({"records": 1, "runs": 1})),
+                ],
+            )
+        connection.close()
+        with ColumnarStore(path, read_only=True) as store:
+            assert render_markdown(analyze_store(store)) == expected
+            assert render_markdown(analyze_store(store, full_rescan=True)) == expected
+        with ColumnarStore(path) as store:
+            assert store.compact()["dropped"] == 0
+        with ColumnarStore(path, read_only=True) as store:
+            assert render_markdown(analyze_store(store)) == expected
 
 
 class TestColumnarScheduler:
@@ -474,7 +449,7 @@ class TestColumnarScheduler:
         assert parallel_report.rows == serial_report.rows
         with open_store(tmp_path / "par.sqlite", read_only=True) as store:
             assert len(store) == len(campaign.specs)
-            assert store.materialized_summary()["bound_violations"] == 0
+            assert analyze_store(store).bound_violations == 0
 
 
 class TestColumnarCLI:
