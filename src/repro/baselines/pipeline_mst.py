@@ -114,7 +114,10 @@ class _PipelineMSTProtocol(NodeProtocol):
             api.send(vertex, parent, "edge", payload=(edge,), words=1)
             self._messages_sent += 1
             budget -= 1
-        if budget > 0 and not pending and self._all_children_done(vertex):
+        if budget == 0:
+            # Bandwidth spent: resume streaming next round unprompted.
+            api.wake(vertex)
+        elif not pending and self._all_children_done(vertex):
             api.send(vertex, parent, "done", words=1)
             self._done_sent.add(vertex)
             api.finish(vertex)

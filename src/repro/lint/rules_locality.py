@@ -29,6 +29,10 @@ ENGINE_CONTROL_METHODS = frozenset(
     {"send", "send_to_neighbors", "deliver_round", "idle_rounds"}
 )
 
+#: ProtocolApi methods that schedule a vertex; a vertex may only
+#: schedule itself.
+SCHEDULE_METHODS = frozenset({"wake", "finish", "unfinish"})
+
 
 def _protocol_methods(
     context: FileContext, names: Optional[frozenset] = None
@@ -39,6 +43,18 @@ def _protocol_methods(
         for name, method in sorted(info.methods.items()):
             if names is None or name in names:
                 yield info, name, method
+
+
+def _vertex_param(method: ast.FunctionDef) -> Optional[str]:
+    """The callback's own-vertex parameter: (self, vertex, node, api[, inbox])."""
+    params = [arg.arg for arg in method.args.args]
+    return params[1] if len(params) > 1 else None
+
+
+def _names_vertex(call: ast.Call, vertex_param: Optional[str]) -> bool:
+    """True when the call's first argument is the callback's own vertex."""
+    argument = call.args[0]
+    return isinstance(argument, ast.Name) and argument.id == vertex_param
 
 
 @rule(
@@ -80,9 +96,7 @@ def check_engine_graph_read(context: FileContext) -> Iterator[Finding]:
 def check_cross_vertex_state(context: FileContext) -> Iterator[Finding]:
     """``api.node(other)`` with anything but the callback's own vertex."""
     for info, name, method in _protocol_methods(context, ROUND_CALLBACKS):
-        params = [arg.arg for arg in method.args.args]
-        # Callback signature: (self, vertex, node, api[, inbox]).
-        vertex_param = params[1] if len(params) > 1 else None
+        vertex_param = _vertex_param(method)
         accessors = api_param_names(method, context) | engine_param_names(method, context)
         for node in ast.walk(method):
             if not isinstance(node, ast.Call):
@@ -93,10 +107,7 @@ def check_cross_vertex_state(context: FileContext) -> Iterator[Finding]:
             base_is_accessor = (
                 isinstance(func.value, ast.Name) and func.value.id in accessors
             ) or is_engine_expr(func.value, context, method, info)
-            if not base_is_accessor or not node.args:
-                continue
-            argument = node.args[0]
-            if isinstance(argument, ast.Name) and argument.id == vertex_param:
+            if not base_is_accessor or not node.args or _names_vertex(node, vertex_param):
                 continue
             yield context.finding(
                 node,
@@ -178,4 +189,43 @@ def check_module_global_mutation(context: FileContext) -> Iterator[Finding]:
                 "module-level state is shared across every simulated vertex; "
                 "keep protocol state in NodeState.scratch or on the protocol "
                 "instance",
+            )
+
+
+@rule(
+    "LOC105",
+    "cross-vertex-schedule",
+    "round callbacks may only wake, finish or unfinish their own vertex",
+    scope="protocol",
+)
+def check_cross_vertex_schedule(context: FileContext) -> Iterator[Finding]:
+    """``api.wake/finish/unfinish(other)`` inside a round callback.
+
+    Scheduling another vertex is a signal that no message carries and no
+    counter charges; a vertex that must act on a peer's behalf sends it a
+    message instead.
+    """
+    for info, name, method in _protocol_methods(context, ROUND_CALLBACKS):
+        vertex_param = _vertex_param(method)
+        api_names = api_param_names(method, context)
+        for node in ast.walk(method):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if not (
+                isinstance(func, ast.Attribute)
+                and func.attr in SCHEDULE_METHODS
+                and isinstance(func.value, ast.Name)
+                and func.value.id in api_names
+            ):
+                continue
+            if not node.args or _names_vertex(node, vertex_param):
+                continue
+            yield context.finding(
+                node,
+                "LOC105",
+                "cross-vertex-schedule",
+                f"{info.name}.{name} calls api.{func.attr}(...) with something other "
+                f"than {vertex_param!r}; a vertex may only schedule itself, anything "
+                "else must travel as a message",
             )

@@ -27,8 +27,11 @@ class _EdgeMessagesProtocol(NodeProtocol):
     name = "edgemsg"
 
     def __init__(self, network: Engine, messages: List[EdgeMessage]) -> None:
-        participants = set(network.vertices())
-        super().__init__(participants)
+        # Only the endpoints of the batch take part: every other vertex
+        # would start finished and never hear a message.
+        super().__init__(
+            [sender for sender, _, _ in messages] + [receiver for _, receiver, _ in messages]
+        )
         seen: Dict[Tuple[VertexId, VertexId], int] = {}
         for sender, receiver, _ in messages:
             if not network.has_edge(sender, receiver):

@@ -113,11 +113,11 @@ class _PipelinedUpcastProtocol(NodeProtocol):
             self._emitted[vertex].add(key)
             self._last_emitted[vertex] = key
             budget -= 1
-        if (
-            budget > 0
-            and not self._pending_keys(vertex)
-            and self._all_children_done(vertex)
-        ):
+        if budget == 0:
+            # The round's bandwidth is spent: keep streaming next round
+            # even if no child message arrives.
+            api.wake(vertex)
+        elif not self._pending_keys(vertex) and self._all_children_done(vertex):
             api.send(vertex, parent, "done", words=1)
             self._done_sent.add(vertex)
             api.finish(vertex)
@@ -222,6 +222,7 @@ class _PipelinedDowncastProtocol(NodeProtocol):
             api.finish(vertex)
         else:
             api.unfinish(vertex)
+            api.wake(vertex)
 
     def on_start(self, vertex: VertexId, node: NodeState, api: ProtocolApi) -> None:
         if vertex == self._root:

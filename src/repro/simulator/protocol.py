@@ -9,6 +9,12 @@ delivered to the vertex at the beginning of the round.  The driver
 once per round, until every participant has declared itself finished and
 no messages remain in flight.
 
+The driver is event-driven: in a round, ``on_round`` runs only at the
+vertices that received a message or that asked to be woken during the
+previous round (:meth:`ProtocolApi.wake`).  A vertex with nothing to read
+and no pending wake is not called at all, so simulator work scales with
+messages plus wakes rather than with rounds times participants.
+
 Protocols keep their per-vertex variables in the vertex's scratch space
 (:meth:`~repro.simulator.node.NodeState.scratch`), so composed protocols
 do not interfere with one another.
@@ -29,14 +35,18 @@ from .node import NodeState
 class ProtocolApi:
     """Restricted view of the network handed to protocol callbacks.
 
-    Protocols use it to send messages and to mark vertices as finished;
-    they never touch the kernel's queues or counters directly.
+    Protocols use it to send messages, to mark vertices as finished and
+    to schedule a vertex's next ``on_round`` (:meth:`wake`); they never
+    touch the kernel's queues or counters directly.  A vertex only ever
+    schedules itself: ``finish``/``unfinish``/``wake`` name the vertex
+    whose callback is running (lint rule LOC105).
     """
 
     def __init__(self, network: Engine, protocol_name: str) -> None:
         self._network = network
         self._protocol_name = protocol_name
         self._finished: Set[VertexId] = set()
+        self._woken: Set[VertexId] = set()
 
     @property
     def bandwidth(self) -> int:
@@ -88,6 +98,16 @@ class ProtocolApi:
         """Re-activate a vertex (used when a new message re-engages it)."""
         self._finished.discard(vertex)
 
+    def wake(self, vertex: VertexId) -> None:
+        """Run ``vertex``'s ``on_round`` next round even if no message arrives.
+
+        The driver calls ``on_round`` only at vertices with a non-empty
+        inbox; a vertex that still has work to do on its own (e.g. items
+        left to stream once this round's bandwidth is spent) must wake
+        itself.  Calling it again in the same round changes nothing.
+        """
+        self._woken.add(vertex)
+
     def is_finished(self, vertex: VertexId) -> bool:
         """True when ``vertex`` has declared completion."""
         return vertex in self._finished
@@ -131,7 +151,14 @@ class NodeProtocol(abc.ABC):
     def on_round(
         self, vertex: VertexId, node: NodeState, api: ProtocolApi, inbox: List[Message]
     ) -> None:
-        """One synchronous round at ``vertex`` with the freshly delivered ``inbox``."""
+        """One synchronous round at ``vertex`` with the freshly delivered ``inbox``.
+
+        Called only in rounds where ``inbox`` is non-empty or where the
+        vertex called :meth:`ProtocolApi.wake` in the previous round (or
+        in ``on_start``); then ``inbox`` may be empty.  A vertex that
+        neither receives nor wakes is not called, so a protocol must
+        never rely on being polled with an empty inbox.
+        """
 
     @abc.abstractmethod
     def result(self, network: Engine) -> Any:
@@ -151,14 +178,14 @@ def run_protocol(
     so the rounds charged to the enclosing execution are exactly the
     rounds this protocol used.
 
-    This loop is the hottest frame of every simulation (it runs once per
-    vertex per round across every protocol of every phase), so the body
-    trades a little transparency for speed: node states are resolved
-    once per protocol rather than once per visit, and the per-round scan
-    skips finished vertices with plain set/dict lookups.  Vertices are
-    still visited in sorted-participant order every round, which is what
-    keeps message emission -- and therefore every reported metric --
-    deterministic.
+    In each round, ``on_round`` runs only at the vertices that received
+    a message or called :meth:`ProtocolApi.wake` during the previous
+    round (or ``on_start``), visited in sorted order.  Sorted visits
+    keep message emission -- and therefore every reported metric --
+    deterministic; since a vertex with an empty inbox and no wake would
+    do nothing, skipping it changes no message, row or count.  A message
+    addressed to a vertex outside ``protocol.participants`` raises
+    :class:`~repro.exceptions.ProtocolError`: nobody would read it.
     """
     api = ProtocolApi(network, protocol.name)
     if max_rounds is not None:
@@ -172,8 +199,9 @@ def run_protocol(
         limit = protocol.max_rounds_hint(network) * max(stretch, 1)
     participants = protocol.participants
     total = len(participants)
-    states = [(vertex, network.node(vertex)) for vertex in participants]
+    nodes = {vertex: network.node(vertex) for vertex in participants}
     finished = api._finished
+    woken = api._woken
     on_round = protocol.on_round
     # Bound methods resolved once per protocol, not once per round: the
     # attribute walks (instance dict / slots, then class) are pure
@@ -181,7 +209,7 @@ def run_protocol(
     deliver_round = network.deliver_round
     pending_count = network.pending_count
 
-    for vertex, node in states:
+    for vertex, node in nodes.items():
         protocol.on_start(vertex, node, api)
 
     rounds_used = 0
@@ -200,21 +228,25 @@ def run_protocol(
             raise error
         inboxes = deliver_round()
         rounds_used += 1
+        if woken:
+            due = sorted(woken.union(inboxes))
+            woken.clear()
+        else:
+            due = sorted(inboxes)
         get_inbox = inboxes.get
-        for vertex, node in states:
-            inbox = get_inbox(vertex)
-            if inbox is None:
-                if vertex in finished:
-                    continue
-                # Fresh empty list per quiet unfinished vertex: a shared
-                # sentinel would let a mutating protocol poison every
-                # later round, and quiet-but-unfinished vertices are the
-                # rare case now that finished ones are skipped above.
-                inbox = []
-            on_round(vertex, node, api, inbox)
+        for vertex in due:
+            try:
+                node = nodes[vertex]
+            except KeyError:
+                what = "sent a message to" if vertex in inboxes else "woke"
+                raise ProtocolError(
+                    f"protocol {protocol.name!r} {what} vertex {vertex}, which is not "
+                    "one of its participants"
+                ) from None
+            on_round(vertex, node, api, get_inbox(vertex) or [])
 
     outcome = protocol.result(network)
-    for vertex, node in states:
+    for node in nodes.values():
         node.clear_scratch(protocol.name)
     return outcome
 

@@ -1,4 +1,4 @@
-"""Seeded CONGEST-locality violations (LOC101-LOC104).
+"""Seeded CONGEST-locality violations (LOC101-LOC105).
 
 Every marked line must produce exactly the named finding; the compliant
 twin lives in ``good/repro/core/loc_clean.py``.  The path mimics the
@@ -34,6 +34,7 @@ class LeakyProtocol(NodeProtocol):
         foreign = api.node(other)  # seeded LOC102
         api._network.send(vertex, other, "cheat", 1)  # seeded LOC103
         self.network.send(vertex, other, "raw", 1 if foreign else 0)  # seeded LOC103
+        api.wake(other)  # seeded LOC105
 
     def result(self, network):
         return TOTAL_STARTS

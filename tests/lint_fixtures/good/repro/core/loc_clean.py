@@ -29,6 +29,8 @@ class LocalProtocol(NodeProtocol):
         own = api.node(vertex)
         if inbox and own is not None:
             api.finish(vertex)
+        else:
+            api.wake(vertex)
 
     def result(self, network):
         return self._n

@@ -38,6 +38,7 @@ ALL_RULE_IDS = {
     "LOC102",
     "LOC103",
     "LOC104",
+    "LOC105",
     "DET201",
     "DET202",
     "DET203",
@@ -114,6 +115,54 @@ def test_locality_rules_only_apply_to_protocol_paths(tmp_path):
     plain.write_text(source)
     result = lint_paths([plain])
     assert not any(finding.rule_id.startswith("LOC") for finding in result.findings)
+
+
+def test_cross_vertex_schedule_covers_wake_finish_and_unfinish(tmp_path):
+    """LOC105 flags scheduling of any vertex but the callback's own."""
+    module = tmp_path / "repro" / "core" / "schedule.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(
+        "from repro.simulator.protocol import NodeProtocol\n"
+        "\n"
+        "\n"
+        "class Scheduler(NodeProtocol):\n"
+        "    def on_start(self, vertex, node, api):\n"
+        "        api.wake(vertex)\n"
+        "        api.finish(vertex + 1)\n"
+        "\n"
+        "    def on_round(self, vertex, node, api, inbox):\n"
+        "        api.finish(vertex)\n"
+        "        api.unfinish(inbox[0].sender)\n"
+        "        api.wake(self.peer)\n"
+    )
+    result = lint_paths([module])
+    assert [(finding.rule_id, finding.line) for finding in result.unsuppressed] == [
+        ("LOC105", 7),
+        ("LOC105", 11),
+        ("LOC105", 12),
+    ]
+
+
+@pytest.mark.parametrize("callback", ["on_start", "on_round"])
+@pytest.mark.parametrize("method", ["finish", "unfinish", "wake"])
+def test_cross_vertex_schedule_flags_only_the_foreign_vertex(tmp_path, method, callback):
+    """Each scheduling call is legal on ``v`` and LOC105 on anything else."""
+    params = "self, v, node, api" + (", inbox" if callback == "on_round" else "")
+    module = tmp_path / "repro" / "core" / "schedule.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(
+        "from repro.simulator.protocol import NodeProtocol\n"
+        "\n"
+        "\n"
+        "class Scheduler(NodeProtocol):\n"
+        f"    def {callback}({params}):\n"
+        f"        api.{method}(v)\n"
+        f"        api.{method}(node.parent)\n"
+    )
+    result = lint_paths([module])
+    assert [(finding.rule_id, finding.line) for finding in result.unsuppressed] == [
+        ("LOC105", 7)
+    ]
 
 
 # ---------------------------------------------------------------------- #

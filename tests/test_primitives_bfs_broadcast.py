@@ -13,10 +13,11 @@ from repro.simulator.network import SyncNetwork
 from repro.simulator.primitives.bfs import build_bfs_tree
 from repro.simulator.primitives.broadcast import forest_broadcast
 from repro.simulator.primitives.convergecast import forest_convergecast
-from repro.simulator.primitives.direct import send_over_edges
+from repro.simulator.primitives.direct import _EdgeMessagesProtocol, send_over_edges
 from repro.simulator.primitives.flooding import flood_value
 from repro.simulator.primitives.neighbor_exchange import neighbor_exchange
 from repro.simulator.primitives.trees import RootedForest
+from repro.simulator.protocol import run_protocol
 
 
 class TestBFS:
@@ -162,6 +163,16 @@ class TestSendOverEdges:
         received = send_over_edges(network, [(0, 1, "a"), (2, 1, "b"), (3, 4, "c")])
         assert sorted(received[1]) == [(0, "a"), (2, "b")]
         assert received[4] == [(3, "c")]
+        assert network.round == 1
+        assert network.metrics.messages == 3
+
+    def test_only_batch_endpoints_take_part(self):
+        network = SyncNetwork(path_graph(8, seed=1))
+        batch = [(0, 1, "a"), (2, 1, "b"), (4, 5, "c")]
+        protocol = _EdgeMessagesProtocol(network, batch)
+        assert protocol.participants == (0, 1, 2, 4, 5)
+        received = run_protocol(network, protocol)
+        assert received == {1: [(0, "a"), (2, "b")], 5: [(4, "c")]}
         assert network.round == 1
         assert network.metrics.messages == 3
 
