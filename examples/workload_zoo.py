@@ -6,9 +6,10 @@ structurally diverse inputs:
 
 1. the *catalogue* -- every registered family with its diameter/weight
    regime (``repro.workloads.ZOO_INFO``);
-2. a *batched sweep* -- the ``zoo`` preset executed twice, once per-cell
-   and once through the batched executor, demonstrating that batching
-   changes wall-clock time only (the rows are byte-identical);
+2. a *batched sweep* -- the ``zoo`` preset executed twice, once cell by
+   cell through ``run_spec`` and once through ``execute_campaign``,
+   demonstrating that batching changes wall-clock time only (the rows
+   are byte-identical);
 3. the *planted ground truth* -- a planted-fragment instance whose MST
    is known by construction, checked against the paper's algorithm.
 
@@ -27,7 +28,7 @@ import time
 
 from repro import workloads
 from repro.analysis.tables import format_table
-from repro.campaign import execute_campaign, preset_campaign
+from repro.campaign import execute_campaign, preset_campaign, run_spec
 from repro.core.elkin_mst import compute_mst
 from repro.verify.planted_checks import planted_mst_edges
 
@@ -51,12 +52,12 @@ def main() -> int:
     campaign = preset_campaign("zoo")
     print(f"\nzoo preset: {len(campaign)} cells across {len(rows)} families")
     start = time.perf_counter()
-    serial = execute_campaign(campaign, batch=False, resume=False)
+    per_cell_rows = [run_spec(spec)[0] for spec in campaign.specs]
     serial_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    batched = execute_campaign(campaign, batch=True, resume=False)
+    batched = execute_campaign(campaign, resume=False)
     batched_seconds = time.perf_counter() - start
-    assert serial.rows == batched.rows, "batching must not change a single row"
+    assert per_cell_rows == batched.rows, "batching must not change a single row"
     print(
         f"per-cell: {serial_seconds:.2f}s   batched: {batched_seconds:.2f}s   "
         f"speedup: {serial_seconds / batched_seconds:.2f}x (byte-identical rows)"

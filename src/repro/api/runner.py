@@ -1,7 +1,7 @@
 """The :class:`Runner` facade: the one execution path for every scenario.
 
 ``Runner.run`` (one scenario), ``Runner.run_many`` (a batch, optionally
-on a worker pool) and ``Runner.stream`` (lazy iteration) all route
+on worker processes) and ``Runner.stream`` (lazy iteration) all route
 through the campaign executor, so a one-off call gets exactly the
 services a 10k-cell sweep gets: verification against the sequential
 oracles, provenance stamping, run-store persistence with resume, the
@@ -90,24 +90,17 @@ class Runner:
         """Execute one scenario and return its outcome."""
         return self.run_many([scenario])[0]
 
-    def run_many(
-        self, scenarios: Iterable[Scenario], jobs: int = 1, batch: Optional[bool] = None
-    ) -> List[ScenarioOutcome]:
-        """Execute a batch of scenarios, batched and optionally parallel.
+    def run_many(self, scenarios: Iterable[Scenario], jobs: int = 1) -> List[ScenarioOutcome]:
+        """Execute a batch of scenarios, in-process or on ``jobs`` workers.
 
         Scenarios may disagree on their ``verify`` policy; the batch is
         partitioned into at most two campaigns (verified / unverified)
-        and the outcomes are returned in input order either way.  With
-        ``jobs > 1`` rows are identical to the in-process ones -- more
-        processes only change wall-clock time.  ``batch`` selects
-        batched execution (graphs, oracles and descriptions shared
-        across the cells of one graph; rows byte-identical to the
-        per-cell path): ``None`` (the default)
-        batches everywhere -- in-process at ``jobs == 1``, and through
-        the graph-affine scheduler of
-        :mod:`repro.campaign.scheduler` at ``jobs > 1``, where each
-        persistent worker batches the work units it leases.  ``False``
-        forces the per-cell paths (serial, or the legacy process pool).
+        and the outcomes are returned in input order either way.  Cells
+        sharing a graph share its build, oracle and description.  With
+        ``jobs > 1`` the graph-affine scheduler of
+        :mod:`repro.campaign.scheduler` runs them on persistent workers;
+        rows are identical to the in-process ones -- more processes only
+        change wall-clock time.
         """
         scenarios = list(scenarios)
         for position, scenario in enumerate(scenarios):
@@ -129,7 +122,6 @@ class Runner:
                 [scenarios[index] for index in positions],
                 verify=verify,
                 jobs=jobs,
-                batch=batch,
             )
             for index, outcome in zip(positions, self._outcomes_of(report)):
                 outcomes[index] = outcome
@@ -168,13 +160,7 @@ class Runner:
 
     # -- internals -------------------------------------------------------
 
-    def _execute(
-        self,
-        scenarios: List[Scenario],
-        verify: bool,
-        jobs: int,
-        batch: Optional[bool] = None,
-    ) -> CampaignReport:
+    def _execute(self, scenarios: List[Scenario], verify: bool, jobs: int) -> CampaignReport:
         campaign = Campaign(
             name="api-runner",
             specs=[scenario.to_run_spec() for scenario in scenarios],
@@ -187,7 +173,6 @@ class Runner:
             resume=self.resume,
             compute_diameter=self.compute_diameter,
             observers=self.hooks,
-            batch=batch,
         )
 
     def _outcomes_of(self, report: CampaignReport) -> List[ScenarioOutcome]:

@@ -1,35 +1,29 @@
-"""Execution layer: serial, multiprocessing and batched campaign executors.
+"""Execution layer: run a campaign's cells in-process or on worker processes.
 
-Every execution mode drives each cell through the same single-cell
-contract (:func:`repro.analysis.experiments.run_single`), so all of them
-produce *row-for-row identical* output -- the mode only changes
-wall-clock time:
+A campaign runs one of two ways, chosen only by ``jobs``:
 
-* serial (``jobs=1, batch=False``): one cell at a time, in-process;
-* legacy pool (``jobs>1, batch=False``): a process pool created once
-  per campaign and shared by the describe and run passes; graphs are
-  constructed inside the worker that runs the cell (specs are data, so
-  nothing heavyweight crosses process boundaries);
-* batched (``jobs=1``, the default): the in-process
-  :class:`_BatchRunner` builds each distinct deterministic graph of the
-  sweep, its verification oracle and its description once instead of
-  once per cell, and steps through the cells sharing them;
-* batched-parallel (``jobs>1``, the default): the
-  :mod:`~repro.campaign.scheduler` leases graph-affine work units to
-  persistent worker processes, each running the batch runner locally
-  and committing to a worker-local shard store that is folded back
-  into the campaign store.
+* in-process (``jobs=1``, or at most one pending cell): the
+  :class:`_BatchRunner` steps through the cells, building each distinct
+  deterministic graph, its verification oracle and its description once
+  instead of once per cell, and dropping the graph after its last cell;
+* scheduled (``jobs>1``): the :mod:`~repro.campaign.scheduler` leases
+  graph-affine work units to persistent worker processes, each running
+  the batch runner locally and committing to a worker-local shard store
+  that is folded back into the campaign store.
 
-Results are committed to the run store in deterministic campaign order,
-and instance descriptions (n, m, hop-diameter) are computed once per
-distinct graph and cached in the store.
+Both produce *row-for-row identical* output to :func:`run_spec`, the
+per-cell reference, which drives one cell through the single-cell
+contract (:func:`repro.analysis.experiments.run_single`).  Results are
+committed to the run store, and instance descriptions (n, m,
+hop-diameter) are computed once per distinct graph and cached in the
+store.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -54,11 +48,6 @@ def _describe_graph(graph, compute_diameter: bool) -> GraphDescription:
     if compute_diameter:
         description["D"] = hop_diameter(graph)
     return description
-
-
-def describe_instance(spec: RunSpec, compute_diameter: bool = True) -> GraphDescription:
-    """Instance description (n, m and optionally hop-diameter) for a spec."""
-    return _describe_graph(spec.build_graph(), compute_diameter)
 
 
 def _build_row(spec: RunSpec, description: GraphDescription, result: MSTRunResult) -> Row:
@@ -193,29 +182,32 @@ def run_spec(
 
 
 class _BatchRunner:
-    """In-process batched cell runner (the ``batch=True`` execution path).
+    """Batched cell runner behind both execution paths.
 
-    Serial per-cell execution rebuilds the graph and the verification
+    Executing cells one by one rebuilds the graph and the verification
     references for every cell.  The batch runner hoists that to
     per-distinct-graph cost:
 
-    * every distinct *deterministic* graph of the pending cells is built
-      exactly once;
+    * every distinct *deterministic* graph is built exactly once, on
+      its first cell;
     * verification runs against one cached
       :class:`~repro.verify.mst_checks.MSTOracle` and one planted MST
       per graph instead of recomputing the reference MSTs per cell;
     * instance descriptions are computed once per graph.
 
-    Every cell constructs its engine through
+    The runner counts the cells it will run per graph and drops a
+    graph, its oracle and its planted MST after that graph's last cell,
+    so a sweep holds only the graphs it still needs (the small
+    descriptions stay cached).  Every cell constructs its engine through
     :func:`~repro.simulator.engine.create_engine`, exactly as a
-    standalone run does.  Non-deterministic cells (no pinned seed) keep
-    the serial contract: a fresh graph per cell, described and verified
-    individually, so their rows remain self-consistent samples.
+    standalone run does.  Non-deterministic cells (no pinned seed) get
+    a fresh graph per cell, described and verified individually, so
+    their rows remain self-consistent samples.
     """
 
     def __init__(
         self,
-        pending: Sequence[Tuple[int, RunSpec, str]],
+        specs: Iterable[RunSpec],
         do_verify: bool,
         compute_diameter: bool,
     ) -> None:
@@ -225,23 +217,23 @@ class _BatchRunner:
         self._oracles: Dict[str, object] = {}
         self._planted: Dict[str, object] = {}
         self._descriptions: Dict[str, GraphDescription] = {}
-        for _, spec, _ in pending:
-            graph_key = spec.graph_key()
-            if spec.is_deterministic() and graph_key not in self._graphs:
-                self._graphs[graph_key] = spec.build_graph()
+        self._remaining: Counter = Counter(
+            spec.graph_key() for spec in specs if spec.is_deterministic()
+        )
 
     def run(
         self,
-        index: int,
         spec: RunSpec,
         description: Optional[GraphDescription],
-    ) -> Tuple[int, Row, Dict[str, object], GraphDescription]:
-        """Run one cell; same outcome contract as :func:`_run_worker`."""
+    ) -> Tuple[Row, Dict[str, object], GraphDescription]:
+        """Run one cell; returns ``(row, result_json, used_description)``."""
         deterministic = spec.is_deterministic()
         graph_key = spec.graph_key()
         graph = self._graphs.get(graph_key) if deterministic else None
         if graph is None:
             graph = spec.build_graph()
+            if deterministic:
+                self._graphs[graph_key] = graph
         if description is None and deterministic:
             description = self._descriptions.get(graph_key)
         if description is None:
@@ -278,9 +270,16 @@ class _BatchRunner:
                     self._planted[graph_key] = planted
             if planted is not None:
                 assert_matches_planted_mst(graph, result, expected=planted)
+        if deterministic:
+            self._remaining[graph_key] -= 1
+            if self._remaining[graph_key] <= 0:
+                # The graph's last cell: release everything but its description.
+                del self._remaining[graph_key]
+                for cache in (self._graphs, self._oracles, self._planted):
+                    cache.pop(graph_key, None)
         row = _build_row(spec, description, result)
         used = {key: row[key] for key in ("n", "m", "D") if key in row}
-        return index, row, result.to_json_dict(), used
+        return row, result.to_json_dict(), used
 
     def _simulate(self, graph: nx.Graph, spec: RunSpec) -> MSTRunResult:
         # verify=False: verification runs against the cached per-graph
@@ -297,44 +296,6 @@ class _BatchRunner:
             strict_bounds=spec.strict_bounds,
             condition=spec.condition,
         )
-
-
-# -- picklable worker entry points (top level for multiprocessing) -------
-
-
-def _describe_worker(
-    payload: Tuple[str, Dict[str, object], bool],
-) -> Tuple[str, GraphDescription]:
-    graph_key, spec_json, compute_diameter = payload
-    spec = RunSpec.from_json_dict(spec_json)
-    return graph_key, describe_instance(spec, compute_diameter=compute_diameter)
-
-
-def _run_worker(
-    payload: Tuple[int, Dict[str, object], Optional[GraphDescription], bool, bool],
-) -> Tuple[int, Row, Dict[str, object], GraphDescription]:
-    index, spec_json, description, verify, compute_diameter = payload
-    spec = RunSpec.from_json_dict(spec_json)
-    row, result = run_spec(
-        spec, description=description, verify=verify, compute_diameter=compute_diameter
-    )
-    used = {key: row[key] for key in ("n", "m", "D") if key in row}
-    return index, row, result.to_json_dict(), used
-
-
-def _map_payloads(worker, payloads: Sequence[object], jobs: int, pool=None) -> List[object]:
-    """Run ``worker`` over payloads, serially or on the campaign's pool.
-
-    The pool, when one is passed, was created once by
-    :func:`execute_campaign` and is shared by the describe and run
-    passes -- one worker lifecycle per campaign, not one per phase.
-    ``chunksize=1`` keeps scheduling deterministic-agnostic: results are
-    returned in payload order either way, so output never depends on
-    which worker finished first.
-    """
-    if pool is None or jobs <= 1 or len(payloads) <= 1:
-        return [worker(payload) for payload in payloads]
-    return pool.map(worker, payloads, chunksize=1)
 
 
 def _notify(observers: Sequence[object], method: str, *args: object) -> None:
@@ -385,8 +346,8 @@ class CampaignReport:
         reused_indexes: campaign indexes of the cells answered from the
             store (sorted); ``reused == len(reused_indexes)``.
         store: the run store the campaign was executed against.
-        workers: persistent worker processes used by the batched-parallel
-            scheduler (``0`` for in-process and legacy pool execution).
+        workers: persistent worker processes used by the scheduler
+            (``0`` for in-process execution).
         worker_stats: one dict per scheduler worker -- ``worker``,
             ``units`` and ``cells`` executed, ``busy_seconds``, and
             ``utilization`` (busy time over campaign wall time).
@@ -424,7 +385,6 @@ def execute_campaign(
     verify: Optional[bool] = None,
     compute_diameter: bool = True,
     observers: Sequence[object] = (),
-    batch: Optional[bool] = None,
 ) -> CampaignReport:
     """Execute every cell of ``campaign`` and return the ordered rows.
 
@@ -432,8 +392,12 @@ def execute_campaign(
         campaign: the grid to run.
         store: run store for persistence and resume; ``None`` uses a
             fresh in-memory store (everything is recomputed).
-        jobs: worker processes; ``1`` runs in-process.  Every parallel
-            path produces rows identical to the in-process one.
+        jobs: worker processes.  ``1`` (or at most one pending cell)
+            runs the cells in-process through the batch runner (see
+            :class:`_BatchRunner`); ``N > 1`` leases graph-affine work
+            units to ``N`` persistent workers through the
+            :mod:`~repro.campaign.scheduler`, each batching its units
+            locally.  Rows are identical either way.
         resume: when True (the default), cells whose run key is already
             in the store are *not* re-simulated; their stored rows are
             returned in place.  When False every cell is re-run and the
@@ -444,21 +408,9 @@ def execute_campaign(
             descriptions (the one expensive description field).
         observers: lifecycle hooks (see
             :class:`repro.api.hooks.RunObserver`).  In-process execution
-            interleaves events with the cells; the batched-parallel
-            scheduler streams every event live, in completion order; the
-            legacy pool fires every ``on_run_start`` at dispatch time
-            and the ``on_phase`` / ``on_result`` events in campaign
-            order once the pool drains.  Resumed cells fire no events.
-        batch: batched execution (see :class:`_BatchRunner`): distinct
-            graphs are built and described once each and verified
-            against one cached oracle each -- several times
-            faster on many-small-cell sweeps, with rows byte-identical
-            to the per-cell path.  With ``jobs > 1`` batching composes
-            with multiprocessing: the :mod:`~repro.campaign.scheduler`
-            leases graph-affine work units to persistent workers, each
-            batching its units locally.  ``None`` (the default) batches
-            everywhere; ``False`` forces the per-cell paths (serial, or
-            the legacy process pool when ``jobs > 1``).
+            interleaves events with the cells; the scheduler streams
+            every event live, in completion order.  Resumed cells fire
+            no events.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -483,46 +435,23 @@ def execute_campaign(
         else:
             pending.append((index, spec, key))
 
-    # Instance descriptions, computed once per distinct graph.  Only
+    # Instance descriptions already cached in the store.  Only
     # deterministic specs (pinned seed or verbatim edge list) may share
     # a description across cells or reuse the store cache; every other
-    # cell derives its description inside the run worker from the very
-    # graph it simulates, so rows are always self-consistent.  A cached
-    # description computed without the hop-diameter does not satisfy a
-    # compute_diameter=True sweep -- it is recomputed and overwritten.
+    # cell derives its description from the very graph it simulates, so
+    # rows are always self-consistent.  A cached description computed
+    # without the hop-diameter does not satisfy a compute_diameter=True
+    # sweep -- it is recomputed and overwritten.
     def _usable(cached: Optional[GraphDescription]) -> bool:
         return cached is not None and (not compute_diameter or "D" in cached)
 
-    # Pending cells run in-process (one at a time) unless a pool is both
-    # requested and worthwhile; execution batches by default, composing
-    # with multiprocessing through the graph-affine scheduler.
-    in_process = jobs <= 1 or len(pending) <= 1
-    use_batch = in_process and batch is not False and bool(pending)
-    use_scheduler = not in_process and batch is not False
-
-    described = 0
     descriptions: Dict[str, GraphDescription] = {}
-    describe_payloads: List[Tuple[str, Dict[str, object], bool]] = []
-    if pending:
-        groups: Dict[str, List[RunSpec]] = {}
-        for _, spec, _ in pending:
-            groups.setdefault(spec.graph_key(), []).append(spec)
-        for graph_key, members in groups.items():
-            if not members[0].is_deterministic():
-                continue
+    for _, spec, _ in pending:
+        graph_key = spec.graph_key()
+        if spec.is_deterministic() and graph_key not in descriptions:
             cached = store.graph_description(graph_key)
             if _usable(cached):
                 descriptions[graph_key] = cached
-            elif len(members) > 1 and not use_batch and not use_scheduler:
-                # Worth a dedicated pass: one description serves many
-                # cells.  The batch runner -- in-process or inside a
-                # scheduler worker -- instead describes the graph it
-                # already built, so those paths never take this pass.
-                describe_payloads.append(
-                    (graph_key, members[0].to_json_dict(), compute_diameter)
-                )
-            # Single-cell graphs: the run worker describes the graph it
-            # builds anyway; the result is recorded into the cache below.
 
     def _record_description(spec: RunSpec, used: GraphDescription) -> bool:
         """Cache a description a run produced; True when it was news."""
@@ -537,81 +466,22 @@ def execute_campaign(
             return True
         return False
 
-    # Simulate the pending cells (graphs are built inside each worker).
-    if use_batch:
-        executor_name = "batched"
-    elif use_scheduler:
-        executor_name = f"batched-pool-{jobs}"
-    else:
-        executor_name = "serial" if jobs <= 1 else f"pool-{jobs}"
+    in_process = jobs <= 1 or len(pending) <= 1
+    executor_name = "batched" if in_process else f"batched-pool-{jobs}"
     fresh: Dict[int, Row] = {}
+    described = 0
     workers = 0
     worker_stats: List[Dict[str, object]] = []
-    pool = None
     try:
-        if not in_process and not use_scheduler:
-            # One worker lifecycle per campaign: the legacy pool path
-            # shares this pool across the describe and run passes
-            # instead of spawning a throwaway pool for each phase.
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else "spawn"
-            pool = multiprocessing.get_context(method).Pool(
-                processes=min(jobs, len(pending))
+        if in_process:
+            runner = _BatchRunner(
+                (spec for _, spec, _ in pending), do_verify, compute_diameter
             )
-        for graph_key, description in _map_payloads(
-            _describe_worker, describe_payloads, jobs, pool=pool
-        ):
-            store.record_graph(graph_key, description)
-            descriptions[graph_key] = description
-            described += 1
-        if use_scheduler:
-            from .scheduler import run_scheduled
-
-            fresh, described_in_units, workers, worker_stats = run_scheduled(
-                pending,
-                descriptions,
-                store,
-                jobs=jobs,
-                executor_name=executor_name,
-                do_verify=do_verify,
-                compute_diameter=compute_diameter,
-                observers=observers,
-                record_description=_record_description,
-            )
-            described += described_in_units
-        else:
-            # The batch runner consumes specs directly; only the worker
-            # path needs the JSON form (it crosses a process boundary).
-            payloads = [
-                (
-                    index,
-                    None if use_batch else spec.to_json_dict(),
-                    descriptions.get(spec.graph_key()),
-                    do_verify,
-                    compute_diameter,
+            for index, spec, _ in pending:
+                _notify(observers, "on_run_start", spec)
+                row, result_json, used = runner.run(
+                    spec, descriptions.get(spec.graph_key())
                 )
-                for index, spec, _ in pending
-            ]
-            runner = (
-                _BatchRunner(pending, do_verify, compute_diameter) if use_batch else None
-            )
-            if in_process:
-                # Run inline below so observers see each cell's events live.
-                outcomes: List[object] = [None] * len(payloads)
-            else:
-                for _, spec, _ in pending:
-                    _notify(observers, "on_run_start", spec)
-                outcomes = _map_payloads(_run_worker, payloads, jobs, pool=pool)
-            for (index, spec, _), payload, outcome in zip(pending, payloads, outcomes):
-                if in_process:
-                    _notify(observers, "on_run_start", spec)
-                    outcome = (
-                        runner.run(index, spec, payload[2])
-                        if runner is not None
-                        else _run_worker(payload)
-                    )
-                out_index, row, result_json, used = outcome
-                assert index == out_index
                 if _record_description(spec, used):
                     described += 1
                 store.record_run(
@@ -623,10 +493,21 @@ def execute_campaign(
                     for phase in result.phases:
                         _notify(observers, "on_phase", spec, phase)
                     _notify(observers, "on_result", spec, result, row)
+        else:
+            from .scheduler import run_scheduled
+
+            fresh, described, workers, worker_stats = run_scheduled(
+                pending,
+                descriptions,
+                store,
+                jobs=jobs,
+                executor_name=executor_name,
+                do_verify=do_verify,
+                compute_diameter=compute_diameter,
+                observers=observers,
+                record_description=_record_description,
+            )
     finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
         # Group-commit contract: whatever durability level the store
         # runs at, a campaign that returned has all of its records on
         # disk -- and one that *raised* (verification failure, Ctrl-C,

@@ -1,8 +1,9 @@
-"""Batched-parallel campaign scheduler: graph-affine units on persistent workers.
+"""Campaign scheduler: graph-affine work units on persistent workers.
 
-This module composes the two fast execution paths that used to be
-mutually exclusive -- batching (:class:`~repro.campaign.executor._BatchRunner`)
-and multiprocessing (the ``jobs > 1`` pool) -- into one scheduler:
+This is the ``jobs > 1`` execution path of
+:func:`~repro.campaign.executor.execute_campaign`; it runs the in-process
+batch runner (:class:`~repro.campaign.executor._BatchRunner`) on worker
+processes:
 
 * the pending cells are partitioned into **graph-affine work units**
   (:func:`partition_units`): cells sharing a ``graph_key`` always land
@@ -10,9 +11,9 @@ and multiprocessing (the ``jobs > 1`` pool) -- into one scheduler:
   graph and its verification oracle exactly once, like the in-process
   batch runner does;
 * units are leased from a shared task queue to **persistent worker
-  processes** -- one process lifecycle per campaign, not one pool per
-  phase; a worker that finishes a unit immediately leases the next, so
-  stragglers self-balance;
+  processes** -- one process lifecycle per campaign; a worker that
+  finishes a unit immediately leases the next, so stragglers
+  self-balance;
 * each worker runs the stock :class:`_BatchRunner` over its unit
   and appends the finished cells to its own **worker-local shard
   store** (``durability="batch"``, one commit per completed lease),
@@ -24,11 +25,11 @@ and multiprocessing (the ``jobs > 1`` pool) -- into one scheduler:
   :meth:`~repro.campaign.store.RunStore.merge_from`.
 
 Rows, store records and resume semantics are byte-identical to the
-serial, batched and legacy pool paths; only wall-clock time and the
-provenance ``executor`` tag (``"batched-pool-<jobs>"``) differ.  A
-worker that dies mid-campaign loses only its uncommitted lease: every
-shard it flushed is still folded in, the campaign raises, and a
-``--resume`` completes exactly the missing cells.
+in-process path; only wall-clock time and the provenance ``executor``
+tag (``"batched-pool-<jobs>"``) differ.  A worker that dies
+mid-campaign loses only its uncommitted lease: every shard it flushed
+is still folded in, the campaign raises, and a ``--resume`` completes
+exactly the missing cells.
 """
 
 from __future__ import annotations
@@ -177,14 +178,11 @@ def _worker_main(
             if abort.is_set():
                 continue  # keep draining so every worker reaches a sentinel
             started = time.perf_counter()
-            pending = [
-                (index, RunSpec.from_json_dict(spec_json), "")
-                for index, spec_json, _ in unit.cells
-            ]
-            runner = _BatchRunner(pending, do_verify, compute_diameter)
-            for (index, spec, _), (_, _, description) in zip(pending, unit.cells):
+            specs = [RunSpec.from_json_dict(spec_json) for _, spec_json, _ in unit.cells]
+            runner = _BatchRunner(specs, do_verify, compute_diameter)
+            for spec, (index, _, description) in zip(specs, unit.cells):
                 results.put(("start", worker_id, index))
-                _, row, result_json, used = runner.run(index, spec, description)
+                row, result_json, used = runner.run(spec, description)
                 store.record_run(
                     spec, row, result_json, _provenance(spec, executor_name, do_verify)
                 )

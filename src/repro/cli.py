@@ -15,10 +15,10 @@ run one or more of the simulated algorithms, verify the result against
 the sequential oracles and print an ASCII table with the measured rounds
 and messages.  ``sweep`` executes a whole campaign grid (a named preset
 or a cross-product of the supplied axes) against a persistent JSONL run
-store with resume semantics -- batched in-process by default (see
-DESIGN.md, Section 10); with ``--jobs N`` the batched-parallel
-scheduler leases graph-affine work units to N persistent workers, each
-batching locally (DESIGN.md, Section 13).
+store with resume semantics -- in-process by default, each distinct
+graph built and verified once (see DESIGN.md, Section 10); with
+``--jobs N`` the scheduler leases graph-affine work units to N
+persistent workers (DESIGN.md, Section 13).
 
 Every subcommand is a thin shim over the scenario facade
 (:mod:`repro.api`): the CLI assembles :class:`~repro.api.Scenario`
@@ -59,6 +59,14 @@ from .simulator.engine import available_engines, DEFAULT_ENGINE
 #: Families a CLI user can ask for (edge_list specs carry explicit
 #: edges); includes the workload-zoo families from :mod:`repro.workloads`.
 CLI_FAMILIES = available_families()
+
+
+def _positive_int(text: str) -> int:
+    """Argparse type for counts that must be at least one."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _engine_argument(parser: argparse.ArgumentParser) -> None:
@@ -197,10 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     _condition_argument(campaign_parser)
     campaign_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
-        help="worker processes (1 = in-process; N > 1 leases graph-affine "
-        "work units to N persistent workers, each batching locally)",
+        help="worker processes: 1 (default) runs in-process; N > 1 leases "
+        "graph-affine work units to N persistent workers",
     )
     campaign_parser.add_argument(
         "--output",
@@ -227,23 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-verify",
         action="store_true",
         help="skip MST verification against the sequential oracle",
-    )
-    batch_group = campaign_parser.add_mutually_exclusive_group()
-    batch_group.add_argument(
-        "--batch",
-        dest="batch",
-        action="store_true",
-        default=None,
-        help="force batched execution (graphs, oracles and engine state "
-        "shared across cells; rows byte-identical to the per-cell path); "
-        "the default already batches everywhere, in-process or per worker",
-    )
-    batch_group.add_argument(
-        "--no-batch",
-        dest="batch",
-        action="store_false",
-        help="force per-cell execution (serial, or the legacy process "
-        "pool with --jobs N)",
     )
     # No default retarget: presets keep the engines they were designed
     # with (the zoo runs on the fast kernel) unless --engine is given.
@@ -427,7 +418,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
         resume=args.resume,
         verify=not args.no_verify,
         compute_diameter=not args.no_diameter,
-        batch=args.batch,
     )
     print(format_table(report.rows))
     summary = report.summary()

@@ -19,7 +19,7 @@ import json
 
 import pytest
 
-from repro.campaign import Campaign, execute_campaign, RunStore
+from repro.campaign import Campaign, execute_campaign, run_spec, RunStore
 from repro.campaign.spec import graph_spec_for
 from repro.exceptions import BandwidthExceededError, ConfigurationError, SimulationError
 from repro.graphs import path_graph, random_connected_graph, star_graph
@@ -248,21 +248,18 @@ def _engine_grid() -> Campaign:
 class TestBatchedArrayCampaign:
     def test_rows_and_store_records_byte_identical(self, tmp_path):
         campaign = _engine_grid()
-        serial_store = RunStore(tmp_path / "serial.jsonl")
+        reference = [run_spec(spec) for spec in campaign.specs]
         batched_store = RunStore(tmp_path / "batched.jsonl")
-        serial = execute_campaign(campaign, store=serial_store, batch=False)
-        batched = execute_campaign(campaign, store=batched_store, batch=True)
-        assert serial.rows == batched.rows
-        assert serial_store.run_keys() == batched_store.run_keys()
-        for spec in campaign.specs:
+        batched = execute_campaign(campaign, store=batched_store)
+        assert batched.rows == [row for row, _ in reference]
+        assert batched_store.run_keys() == campaign.run_keys()
+        for spec, (row, result) in zip(campaign.specs, reference):
             key = spec.run_key()
-            assert json.dumps(serial_store.get_row(key), sort_keys=True) == json.dumps(
-                batched_store.get_row(key), sort_keys=True
+            assert json.dumps(batched_store.get_row(key), sort_keys=True) == json.dumps(
+                row, sort_keys=True
             )
-            assert (
-                serial_store.get_result(key).to_json_dict()
-                == batched_store.get_result(key).to_json_dict()
-            )
+            assert batched_store.get_result(key).to_json_dict() == result.to_json_dict()
+            assert batched_store.get_spec(key) == spec
 
     def test_batched_stands_down_when_array_engine_is_replaced(self):
         # The retired name is free for a third-party kernel, and the batch
@@ -285,7 +282,7 @@ class TestBatchedArrayCampaign:
                 engines=("array",),
                 seeds=(0,),
             )
-            report = execute_campaign(campaign, batch=True)
+            report = execute_campaign(campaign)
             assert created, "replacement engine was never constructed"
             assert report.executed == 1
         finally:

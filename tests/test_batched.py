@@ -1,9 +1,10 @@
-"""Batched execution: byte-identity with the per-cell path.
+"""Batched execution: byte-identity with the per-cell reference.
 
-The contract under test: ``execute_campaign(batch=True)`` (and the
-default in-process batching) produces rows, store records and resume
-behaviour *byte-identical* to the per-cell serial executor over the same
-grid -- batching buys wall-clock time only.
+The contract under test: ``execute_campaign`` -- in-process at
+``jobs=1`` and through the scheduler at ``jobs>1`` -- produces rows,
+store records and resume behaviour *byte-identical* to running every
+cell on its own through :func:`~repro.campaign.run_spec` -- batching
+buys wall-clock time only.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import os
 import pytest
 
 from repro.algorithms import run_algorithm
-from repro.campaign import Campaign, execute_campaign, RunStore
+from repro.campaign import Campaign, execute_campaign, run_spec, RunStore
+from repro.campaign.executor import _BatchRunner, _provenance
 from repro.campaign.scheduler import partition_units
-from repro.campaign.spec import graph_spec_for
+from repro.campaign.spec import graph_spec_for, RunSpec
 from repro.exceptions import SimulationError, VerificationError
 from repro.graphs.generators import GraphSpec, make_graph
 from repro.simulator.engine import register_engine
@@ -41,58 +43,73 @@ def _sixteen_cell_grid() -> Campaign:
     )
 
 
+def per_cell_reference(campaign: Campaign):
+    """``{run_key: (row, result)}`` from :func:`run_spec` on every cell."""
+    return {spec.run_key(): run_spec(spec) for spec in campaign.specs}
+
+
+def assert_matches_reference(store, campaign: Campaign, reference) -> None:
+    """Every store record equals the per-cell reference, key by key."""
+    for spec in campaign.specs:
+        key = spec.run_key()
+        row, result = reference[key]
+        assert json.dumps(store.get_row(key), sort_keys=True) == json.dumps(
+            row, sort_keys=True
+        )
+        assert store.get_result(key).to_json_dict() == result.to_json_dict()
+        assert store.get_spec(key) == spec
+
+
 class TestBatchedEquivalence:
     def test_rows_and_store_records_byte_identical(self, tmp_path):
         campaign = _sixteen_cell_grid()
         assert len(campaign) == 16
-        serial_store = RunStore(tmp_path / "serial.jsonl")
+        reference = per_cell_reference(campaign)
         batched_store = RunStore(tmp_path / "batched.jsonl")
-        serial = execute_campaign(campaign, store=serial_store, batch=False)
-        batched = execute_campaign(campaign, store=batched_store, batch=True)
+        batched = execute_campaign(campaign, store=batched_store)
 
-        assert serial.rows == batched.rows
-        assert serial_store.run_keys() == batched_store.run_keys()
-        for spec in campaign.specs:
-            key = spec.run_key()
-            assert json.dumps(serial_store.get_row(key), sort_keys=True) == json.dumps(
-                batched_store.get_row(key), sort_keys=True
-            )
-            assert (
-                serial_store.get_result(key).to_json_dict()
-                == batched_store.get_result(key).to_json_dict()
-            )
-            assert serial_store.get_spec(key) == batched_store.get_spec(key)
+        assert batched.rows == [row for row, _ in reference.values()]
+        assert batched_store.run_keys() == list(reference)
+        assert_matches_reference(batched_store, campaign, reference)
 
     def test_resume_across_execution_modes(self, tmp_path):
         campaign = _sixteen_cell_grid()
+        reference = per_cell_reference(campaign)
+        # A store written cell by cell -- as the retired per-cell
+        # executor did, under its "serial" provenance tag -- resumes in
+        # full...
         store_path = tmp_path / "store.jsonl"
-        first = execute_campaign(campaign, store=RunStore(store_path), batch=False)
-        assert first.executed == 16
-        # A batched run resumes every per-cell record...
-        resumed = execute_campaign(campaign, store=RunStore(store_path), batch=True)
+        per_cell = RunStore(store_path)
+        for spec in campaign.specs:
+            row, result = reference[spec.run_key()]
+            per_cell.record_run(
+                spec, row, result.to_json_dict(), _provenance(spec, "serial", True)
+            )
+        per_cell.close()
+        resumed = execute_campaign(campaign, store=RunStore(store_path))
         assert resumed.executed == 0
         assert resumed.reused == 16
-        assert resumed.rows == first.rows
-        # ... and vice versa: per-cell execution resumes batched records.
+        assert resumed.rows == [row for row, _ in reference.values()]
+        # ... and batched records resume in full too, in-process or not.
         batched_path = tmp_path / "batched.jsonl"
-        second = execute_campaign(campaign, store=RunStore(batched_path), batch=True)
-        reresumed = execute_campaign(
-            campaign, store=RunStore(batched_path), batch=False
-        )
-        assert reresumed.executed == 0
-        assert reresumed.rows == second.rows
+        second = execute_campaign(campaign, store=RunStore(batched_path))
+        assert second.executed == 16
+        for jobs in (1, 2):
+            reresumed = execute_campaign(campaign, store=RunStore(batched_path), jobs=jobs)
+            assert reresumed.executed == 0
+            assert reresumed.rows == second.rows
 
     def test_default_in_process_execution_batches(self, tmp_path):
         campaign = _sixteen_cell_grid()
         report = execute_campaign(campaign, store=RunStore(tmp_path / "s.jsonl"))
         provenance = report.store.get_provenance(campaign.specs[0].run_key())
         assert provenance["executor"] == "batched"
-        explicit = execute_campaign(campaign, batch=False)
-        assert report.rows == explicit.rows
+        reference = per_cell_reference(campaign)
+        assert report.rows == [row for row, _ in reference.values()]
 
     def test_parallel_rows_match_batched_rows(self):
         campaign = _sixteen_cell_grid()
-        batched = execute_campaign(campaign, batch=True)
+        batched = execute_campaign(campaign)
         pooled = execute_campaign(campaign, jobs=2)
         assert batched.rows == pooled.rows
 
@@ -105,7 +122,7 @@ class TestBatchedEquivalence:
             algorithms=("elkin",),
             seeds=(None,),
         )
-        report = execute_campaign(campaign, batch=True)
+        report = execute_campaign(campaign)
         row = report.rows[0]
         result = report.store.get_result(campaign.specs[0].run_key())
         assert row["n"] == result.n and row["m"] == result.m
@@ -135,7 +152,7 @@ class TestBatchedEquivalence:
                 seeds=(0,),
             )
             with pytest.raises(VerificationError):
-                execute_campaign(campaign, batch=True)
+                execute_campaign(campaign)
         finally:
             _REGISTRY.pop("broken", None)
 
@@ -160,46 +177,58 @@ class TestBatchedEquivalence:
                 engines=("fast",),
                 seeds=(0,),
             )
-            report = execute_campaign(campaign, batch=True)
+            report = execute_campaign(campaign)
             assert created, "replacement engine was never constructed"
             assert report.executed == 1
         finally:
             register_engine("fast", FastNetwork)
 
 
+class TestBatchRunnerGraphLifetime:
+    def test_each_graph_built_once_and_dropped_after_its_last_cell(self, monkeypatch):
+        campaign = _sixteen_cell_grid()
+        builds = []
+        original = RunSpec.build_graph
+
+        def counting_build(spec):
+            builds.append(spec.graph_key())
+            return original(spec)
+
+        monkeypatch.setattr(RunSpec, "build_graph", counting_build)
+        runner = _BatchRunner(campaign.specs, do_verify=True, compute_diameter=True)
+        assert builds == []  # graphs are built on first use, not up front
+        for position, spec in enumerate(campaign.specs):
+            runner.run(spec, None)
+            still_needed = {s.graph_key() for s in campaign.specs[position + 1 :]}
+            for cache in (runner._graphs, runner._oracles, runner._planted):
+                assert set(cache) <= still_needed
+        graph_keys = {spec.graph_key() for spec in campaign.specs}
+        assert sorted(builds) == sorted(graph_keys)  # each exactly once
+        assert runner._graphs == runner._oracles == runner._planted == {}
+        # Descriptions are small and stay cached for the whole sweep.
+        assert set(runner._descriptions) == graph_keys
+
+
 class TestScheduledEquivalence:
-    """``jobs>1 x batch``: the graph-affine scheduler joins the matrix.
+    """``jobs>1``: the graph-affine scheduler joins the matrix.
 
     Same contract as in-process batching, one axis further out: rows,
     per-key store records and resume behaviour must be byte-identical
-    to the serial executor, whichever mix of batching and processes
-    produced them.  (Store *insertion order* is the one legitimate
-    difference: shards merge in worker order, not campaign order.)
+    to the per-cell reference, whichever path produced them.  (Store
+    *insertion order* is the one legitimate difference: shards merge in
+    worker order, not campaign order.)
     """
-
-    def _store_records(self, store, campaign):
-        return {
-            key: (
-                json.dumps(store.get_row(key), sort_keys=True),
-                json.dumps(store.get_result(key).to_json_dict(), sort_keys=True),
-                store.get_spec(key),
-            )
-            for key in campaign.run_keys()
-        }
 
     def test_scheduled_rows_and_store_records_byte_identical(self, tmp_path):
         campaign = _sixteen_cell_grid()
         assert len(campaign) == 16
-        serial_store = RunStore(tmp_path / "serial.jsonl")
+        reference = per_cell_reference(campaign)
         sched_store = RunStore(tmp_path / "sched.jsonl")
-        serial = execute_campaign(campaign, store=serial_store, batch=False)
-        scheduled = execute_campaign(campaign, store=sched_store, jobs=2, batch=True)
+        scheduled = execute_campaign(campaign, store=sched_store, jobs=2)
 
-        assert serial.rows == scheduled.rows
-        assert sorted(serial_store.run_keys()) == sorted(sched_store.run_keys())
-        assert self._store_records(serial_store, campaign) == self._store_records(
-            sched_store, campaign
-        )
+        assert scheduled.rows == [row for row, _ in reference.values()]
+        assert sorted(sched_store.run_keys()) == sorted(reference)
+        assert_matches_reference(sched_store, campaign, reference)
 
     def test_parallel_batching_is_the_default_and_tagged(self, tmp_path):
         campaign = _sixteen_cell_grid()
@@ -209,24 +238,24 @@ class TestScheduledEquivalence:
         assert report.workers == 2
         assert sum(stat["cells"] for stat in report.worker_stats) == report.executed
         assert "workers" in report.summary()
-        legacy = execute_campaign(campaign, jobs=2, batch=False)
-        assert legacy.workers == 0
-        assert report.rows == legacy.rows
+        in_process = execute_campaign(campaign)
+        assert in_process.workers == 0
+        assert report.rows == in_process.rows
 
     def test_resume_across_scheduled_and_serial(self, tmp_path):
         campaign = _sixteen_cell_grid()
-        # Serial records satisfy a scheduled resume...
+        # In-process records satisfy a scheduled resume...
         serial_path = tmp_path / "serial.jsonl"
-        first = execute_campaign(campaign, store=RunStore(serial_path), batch=False)
+        first = execute_campaign(campaign, store=RunStore(serial_path))
         resumed = execute_campaign(campaign, store=RunStore(serial_path), jobs=2)
         assert resumed.executed == 0
         assert resumed.reused == 16
         assert resumed.rows == first.rows
-        # ... and scheduled records satisfy serial and batched resumes.
+        # ... and scheduled records satisfy in-process and scheduled resumes.
         sched_path = tmp_path / "sched.jsonl"
         second = execute_campaign(campaign, store=RunStore(sched_path), jobs=2)
-        for kwargs in ({"batch": False}, {"batch": True}, {"jobs": 3}):
-            reresumed = execute_campaign(campaign, store=RunStore(sched_path), **kwargs)
+        for jobs in (1, 3):
+            reresumed = execute_campaign(campaign, store=RunStore(sched_path), jobs=jobs)
             assert reresumed.executed == 0
             assert reresumed.rows == second.rows
 
@@ -293,7 +322,7 @@ class TestScheduledEquivalence:
         the 20-vertex graph group; graph-affinity puts that whole group
         in one unit, so the other group's lease commits normally.  The
         campaign raises, the merged store holds exactly a subset of the
-        serial records, and a resume finishes the rest.
+        per-cell reference records, and a resume finishes the rest.
         """
         from repro.algorithms import AlgorithmInfo, register_algorithm, _REGISTRY
 
@@ -329,23 +358,21 @@ class TestScheduledEquivalence:
                 execute_campaign(campaign, store=RunStore(store_path), jobs=2)
 
             # Whatever leases committed before the crash merged cleanly:
-            # every surviving record is byte-identical to serial output.
+            # every surviving record is byte-identical to the reference.
             monkeypatch.delenv("REPRO_TEST_KAMIKAZE")
-            reference = execute_campaign(
-                campaign, store=RunStore(tmp_path / "ref.jsonl"), batch=False
-            )
+            reference = per_cell_reference(campaign)
             survivor = RunStore(store_path)
             campaign_keys = set(campaign.run_keys())
             assert set(survivor.run_keys()) < campaign_keys
             for key in survivor.run_keys():
                 assert json.dumps(survivor.get_row(key), sort_keys=True) == json.dumps(
-                    reference.store.get_row(key), sort_keys=True
+                    reference[key][0], sort_keys=True
                 )
 
             # Resume completes exactly the missing cells, byte-identically.
             resumed = execute_campaign(campaign, store=survivor, jobs=2)
             assert resumed.executed == len(campaign) - resumed.reused
-            assert resumed.rows == reference.rows
+            assert resumed.rows == [row for row, _ in reference.values()]
         finally:
             _REGISTRY.pop("kamikaze", None)
 
@@ -395,8 +422,8 @@ class TestConditionedExecutionEquivalence:
     """The condition axis joins the byte-identity matrix.
 
     Network conditions are delivery-side state inside the run, so the
-    executor contract is unchanged: serial, in-process batched and
-    jobs>1 scheduled execution of a conditioned grid -- including cells
+    executor contract is unchanged: the per-cell reference, in-process
+    and jobs>1 scheduled execution of a conditioned grid -- including cells
     whose crash schedule ends in a typed non-termination -- produce
     byte-identical rows and store records.
     """
@@ -417,25 +444,21 @@ class TestConditionedExecutionEquivalence:
     def test_rows_byte_identical_across_execution_modes(self, tmp_path):
         campaign = self._conditioned_grid()
         assert len(campaign) == 12
-        serial = execute_campaign(
-            campaign, store=RunStore(tmp_path / "serial.jsonl"), batch=False
-        )
-        batched = execute_campaign(
-            campaign, store=RunStore(tmp_path / "batched.jsonl"), batch=True
-        )
+        reference = [row for row, _ in per_cell_reference(campaign).values()]
+        batched = execute_campaign(campaign, store=RunStore(tmp_path / "batched.jsonl"))
         pooled = execute_campaign(
             campaign, store=RunStore(tmp_path / "pooled.jsonl"), jobs=2
         )
-        assert serial.rows == batched.rows == pooled.rows
-        statuses = {row["status"] for row in serial.rows if "status" in row}
+        assert reference == batched.rows == pooled.rows
+        statuses = {row["status"] for row in reference if "status" in row}
         assert statuses == {"ok", "non-terminated"}
 
     def test_store_records_and_resume_with_conditions(self, tmp_path):
         campaign = self._conditioned_grid()
         store_path = tmp_path / "store.jsonl"
-        first = execute_campaign(campaign, store=RunStore(store_path), batch=False)
-        for kwargs in ({"batch": True}, {"jobs": 2}):
-            resumed = execute_campaign(campaign, store=RunStore(store_path), **kwargs)
+        first = execute_campaign(campaign, store=RunStore(store_path))
+        for jobs in (1, 2):
+            resumed = execute_campaign(campaign, store=RunStore(store_path), jobs=jobs)
             assert resumed.executed == 0
             assert resumed.reused == len(campaign)
             assert resumed.rows == first.rows

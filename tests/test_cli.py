@@ -81,6 +81,13 @@ class TestSweepCommand:
         assert args.preset is None
         assert args.resume is False
 
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_sweep_rejects_non_positive_jobs_as_usage_error(self, capsys, jobs):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--sizes", "16", "--jobs", jobs])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_sweep_rejects_unknown_preset(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--preset", "e99"])

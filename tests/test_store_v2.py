@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.campaign import Campaign, execute_campaign, graph_spec_for, RunStore
+from repro.campaign import Campaign, execute_campaign, graph_spec_for, run_spec, RunStore
 from repro.campaign.store import DURABILITY_LEVELS, MANIFEST_NAME
 from repro.exceptions import ConfigurationError
 
@@ -128,10 +128,13 @@ class TestGroupCommit:
         store = RunStore(tmp_path / "store.jsonl", durability="batch", batch_size=1000)
         with patch.object(executor_module, "run_single", explode_on_third):
             with pytest.raises(KeyboardInterrupt):
-                execute_campaign(campaign, store=store, batch=False)
-        # The two completed cells reached disk despite the interrupt...
+                execute_campaign(campaign, store=store)
+        # The two completed cells reached disk despite the interrupt,
+        # each byte-identical to the per-cell reference...
         reloaded = RunStore(tmp_path / "store.jsonl")
         assert len(reloaded) == 2
+        for spec in campaign.specs[:2]:
+            assert reloaded.get_row(spec.run_key()) == run_spec(spec)[0]
         # ... so resume re-runs only the remaining cells.
         resumed = execute_campaign(campaign, store=reloaded)
         assert resumed.reused == 2
