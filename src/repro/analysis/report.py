@@ -359,9 +359,11 @@ def analyze_rows(rows: Iterable[Row]) -> CampaignAnalysis:
 
 @runtime_checkable
 class RunStoreLike(Protocol):
-    """Anything with ``iter_rows() -> Iterable[Row]``: every run store backend."""
+    """The row surface every run store backend implements."""
 
     def iter_rows(self) -> Iterable[Row]: ...
+
+    def iter_rows_full_rescan(self) -> Iterable[Row]: ...
 
 
 def analyze_store(store: RunStoreLike, full_rescan: bool = False) -> CampaignAnalysis:
@@ -371,14 +373,10 @@ def analyze_store(store: RunStoreLike, full_rescan: bool = False) -> CampaignAna
     backend that is a scan of the ``run_rows`` projection, no result
     payloads touched.  ``full_rescan=True`` is the escape hatch:
     re-derive every row from the raw record payloads
-    (``iter_rows_full_rescan``, where the store has one); tests assert
-    both paths are byte-identical.
+    (``iter_rows_full_rescan``); tests assert both paths are
+    byte-identical.
     """
-    if full_rescan:
-        rescan = getattr(store, "iter_rows_full_rescan", None)
-        if rescan is not None:
-            return analyze_rows(rescan())
-    return analyze_rows(store.iter_rows())
+    return analyze_rows(store.iter_rows_full_rescan() if full_rescan else store.iter_rows())
 
 
 # -- rendering -----------------------------------------------------------
@@ -524,8 +522,8 @@ def write_report(
 ) -> str:
     """Analyze ``source`` and render the markdown report.
 
-    ``source`` is a run store (anything with ``iter_rows``) or an
-    iterable of rows.  When ``output`` is given the document is also
+    ``source`` is a run store (a :class:`RunStoreLike`) or an iterable
+    of rows.  When ``output`` is given the document is also
     written there.  ``full_rescan`` forwards to :func:`analyze_store`
     (ignored for plain row iterables).  Returns the rendered markdown.
     """

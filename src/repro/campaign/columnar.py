@@ -121,7 +121,7 @@ class ColumnarStore:
         }
         if self.path.is_dir():
             raise ConfigurationError(
-                f"{self.path} is a directory (a sharded JSONL store, not a columnar one)"
+                f"{self.path} is a directory (a legacy sharded JSONL store, not a columnar one)"
             )
         if read_only:
             if not self.path.exists():
@@ -410,15 +410,6 @@ class ColumnarStore:
     def iter_graph_items(self) -> Iterator[Tuple[str, GraphDescription]]:
         for key, description in self._graphs.items():
             yield key, dict(description)
-
-    # -- layout ----------------------------------------------------------
-
-    @property
-    def is_sharded(self) -> bool:
-        return False
-
-    def shard_paths(self) -> List[Path]:
-        return [self.path] if self.path.exists() else []
 
     # -- maintenance -----------------------------------------------------
 

@@ -126,15 +126,13 @@ def partition_units(
 def _shard_path(shard_root: str, worker_id: int, backend: str = "jsonl") -> Path:
     """Worker-local shard store path; the backend follows the fold target.
 
-    JSONL shards are sharded directories, columnar shards single sqlite
+    JSONL shards are ``.jsonl`` files, columnar shards ``.sqlite``
     files -- keeping each worker on the same backend as the caller's
     store exercises one code path end to end and keeps the fold a
     same-backend merge.
     """
-    name = f"worker-{worker_id:02d}"
-    if backend == "columnar":
-        name += ".sqlite"
-    return Path(shard_root) / name
+    suffix = ".sqlite" if backend == "columnar" else ".jsonl"
+    return Path(shard_root) / f"worker-{worker_id:02d}{suffix}"
 
 
 def _transportable(error: BaseException) -> Optional[BaseException]:

@@ -8,7 +8,7 @@ together with its output row, the full serialized
 against the same store skips every cell whose key is already present --
 the resume semantics the ``repro-mst sweep --resume`` flag exposes.
 
-Store v2 (this module) adds three things over the original
+Store v2 (this module) adds two things over the original
 one-fsync-per-record file:
 
 * **Group commit.**  Appends are buffered and committed with one
@@ -22,18 +22,17 @@ one-fsync-per-record file:
   every campaign, so ``--resume`` semantics are exact no matter the
   durability level -- at worst a crash re-runs the uncommitted tail.
 
-* **Sharded layout.**  A store path naming a *directory* holds a
-  ``MANIFEST.json`` plus ``shard-NNNNN.jsonl`` files that roll over
-  every ``shard_records`` records, so huge campaign stores never hinge
-  on one monolithic file.  A path naming a file (e.g. the classic
-  ``runs.jsonl``) keeps the original single-file layout; old stores
-  are transparently readable and writable either way.
-
 * **Maintenance.**  :meth:`compact` rewrites the store dropping
   superseded last-record-wins duplicates; :meth:`merge_from` folds
-  another store (v1 file or v2 directory) into this one, skipping keys
-  already present -- both idempotent, both exposed as ``repro-mst
-  store compact|merge``.
+  another store into this one, skipping keys already present -- both
+  idempotent, both exposed as ``repro-mst store compact|merge``.
+
+A JSONL store is one file, whatever its path is spelled like.  A path
+naming an existing *directory* is a legacy sharded store (an old
+``MANIFEST.json`` plus ``shard-NNNNN.jsonl`` files): it opens
+``read_only`` only, reading its shards in name order, which is enough
+for ``report``, ``store merge`` sources and ``store convert`` -- the
+migration path to a single file.
 
 Crash recovery: a torn final line (a write interrupted before its
 terminating newline) is dropped on load and counted in
@@ -63,30 +62,6 @@ GraphDescription = Dict[str, object]
 #: Supported durability levels (see :class:`RunStore`).
 DURABILITY_LEVELS = ("record", "batch", "none")
 
-#: Name of the v2 manifest file inside a sharded store directory.
-MANIFEST_NAME = "MANIFEST.json"
-
-_SHARD_PREFIX = "shard-"
-_SHARD_SUFFIX = ".jsonl"
-
-
-def _shard_name(index: int) -> str:
-    return f"{_SHARD_PREFIX}{index:05d}{_SHARD_SUFFIX}"
-
-
-def _is_directory_layout(path: Path) -> bool:
-    """Classify a store path: directory (v2 sharded) or single file (v1).
-
-    An existing path is classified by what it is; a fresh path by its
-    spelling -- a ``.jsonl``/``.json``/``.ndjson`` suffix means the
-    classic single-file layout, anything else becomes a shard directory.
-    """
-    if path.is_dir():
-        return True
-    if path.exists():
-        return False
-    return path.suffix.lower() not in (".jsonl", ".json", ".ndjson")
-
 
 class RunStore:
     """Content-addressed storage for campaign cells (JSONL on disk).
@@ -103,18 +78,15 @@ class RunStore:
     records).
 
     Args:
-        path: ``None`` for a purely in-memory store, a file path for
-            the classic single-file JSONL layout, or a directory path
-            for the sharded v2 layout (``MANIFEST.json`` +
-            ``shard-NNNNN.jsonl``).
+        path: ``None`` for a purely in-memory store, or the path of
+            the JSONL file.  An existing directory is a legacy sharded
+            store and must be opened ``read_only``.
         durability: ``"batch"`` (default) buffers appends and commits
             them with one fsync per :attr:`batch_size` records or
             explicit :meth:`flush`; ``"record"`` commits and fsyncs
             every append immediately; ``"none"`` never calls fsync.
         batch_size: records per automatic group commit under
             ``"batch"`` durability.
-        shard_records: records per shard file before the directory
-            layout rolls over to a new shard.
         read_only: open for reading only.  Crash repairs (torn-tail
             truncation, re-termination newlines) stay in-memory and
             every write path (:meth:`record_run`, :meth:`flush`,
@@ -131,7 +103,6 @@ class RunStore:
         path: Optional[Union[str, Path]] = None,
         durability: str = "batch",
         batch_size: int = 64,
-        shard_records: int = 4096,
         read_only: bool = False,
     ) -> None:
         if durability not in DURABILITY_LEVELS:
@@ -141,18 +112,21 @@ class RunStore:
             )
         if batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-        if shard_records < 1:
-            raise ConfigurationError(f"shard_records must be >= 1, got {shard_records}")
         self.path = Path(path) if path is not None else None
         self.durability = durability
         self.batch_size = batch_size
-        self.shard_records = shard_records
         self.read_only = read_only
         if read_only:
             if self.path is None:
                 raise ConfigurationError("read_only requires an on-disk store path")
             if not self.path.exists():
                 raise ConfigurationError(f"no run store at {self.path}")
+        elif self.path is not None and self.path.is_dir():
+            raise ConfigurationError(
+                f"{self.path} is a legacy sharded-directory store and opens "
+                "read_only only; migrate it with "
+                f"`repro-mst store convert {self.path} --into {self.path}.jsonl`"
+            )
         self.stats: Dict[str, int] = {
             "appends": 0,
             "commits": 0,
@@ -163,16 +137,10 @@ class RunStore:
         self._graphs: Dict[str, GraphDescription] = {}
         self._buffer: List[str] = []
         self._handle = None
-        self._sharded = self.path is not None and _is_directory_layout(self.path)
-        #: Shard file names in commit order (single-file stores use one
-        #: pseudo-shard: the file itself).
-        self._shards: List[str] = []
-        #: Physical records in the active (last) shard.
-        self._active_records = 0
-        #: Physical records on disk across all shards (>= logical ones).
+        #: Physical records on disk (>= logical ones).
         self._physical_records = 0
-        if self.path is not None and self.path.exists():
-            self._load()
+        for file in self._files():
+            self._load_file(file)
 
     # -- context manager / lifecycle -------------------------------------
 
@@ -191,23 +159,15 @@ class RunStore:
         if self.path is None or not self._buffer:
             return
         self._require_writable()
-        start = 0
-        while start < len(self._buffer):
-            self._rotate_if_needed()
-            if self._sharded:
-                room = max(1, self.shard_records - self._active_records)
-                chunk = self._buffer[start : start + room]
-            else:
-                chunk = self._buffer[start:]
-            handle = self._open_handle()
-            handle.write("".join(chunk))
-            handle.flush()
-            if self.durability != "none":
-                os.fsync(handle.fileno())
-                self.stats["fsyncs"] += 1
-            self._active_records += len(chunk)
-            self._physical_records += len(chunk)
-            start += len(chunk)
+        if self._handle is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = self.path.open("a", encoding="utf-8")
+        self._handle.write("".join(self._buffer))
+        self._handle.flush()
+        if self.durability != "none":
+            os.fsync(self._handle.fileno())
+            self.stats["fsyncs"] += 1
+        self._physical_records += len(self._buffer)
         self._buffer.clear()
         self.stats["commits"] += 1
 
@@ -218,97 +178,23 @@ class RunStore:
             self._handle.close()
             self._handle = None
 
-    # -- layout ----------------------------------------------------------
-
-    @property
-    def is_sharded(self) -> bool:
-        """True for the directory (v2) layout, False for a single file."""
-        return self._sharded
-
-    def shard_paths(self) -> List[Path]:
-        """The on-disk files holding this store's records, in order."""
-        if self.path is None:
-            return []
-        if not self._sharded:
-            return [self.path] if self.path.exists() else []
-        return [self.path / name for name in self._shards]
-
-    def _manifest_path(self) -> Path:
-        assert self.path is not None
-        return self.path / MANIFEST_NAME
-
-    def _write_manifest(self) -> None:
-        payload = {
-            "version": 2,
-            "shards": list(self._shards),
-            "shard_records": self.shard_records,
-        }
-        tmp = self._manifest_path().with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        os.replace(tmp, self._manifest_path())
-
-    def _discover_shards(self) -> List[str]:
-        """Shard names from the manifest, self-healed against the directory.
-
-        Shards written after a crash (before the manifest caught up) are
-        globbed back in; shards listed but missing are dropped.  Order is
-        the shard index order either way.
-        """
-        assert self.path is not None
-        names = set()
-        manifest = self._manifest_path()
-        if manifest.exists():
-            try:
-                listed = json.loads(manifest.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as error:
-                raise ConfigurationError(
-                    f"{manifest}: corrupt store manifest ({error})"
-                ) from error
-            names.update(str(name) for name in listed.get("shards", []))
-        names.update(
-            entry.name
-            for entry in self.path.glob(f"{_SHARD_PREFIX}*{_SHARD_SUFFIX}")
-        )
-        return sorted(name for name in names if (self.path / name).exists())
-
-    def _rotate_if_needed(self) -> None:
-        """Ensure the active shard has room; roll to a new one if not."""
-        if not self._sharded:
-            return
-        if self._shards and self._active_records < self.shard_records:
-            return
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        self._shards.append(_shard_name(len(self._shards)))
-        self._active_records = 0
-        self.path.mkdir(parents=True, exist_ok=True)
-        self._write_manifest()
-
-    def _open_handle(self):
-        if self._handle is None:
-            if self._sharded:
-                self._rotate_if_needed()
-                target = self.path / self._shards[-1]
-            else:
-                target = self.path
-            target.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = target.open("a", encoding="utf-8")
-        return self._handle
-
     # -- loading ---------------------------------------------------------
 
-    def _load(self) -> None:
-        assert self.path is not None
-        if self._sharded:
-            self._shards = self._discover_shards()
-            for name in self._shards:
-                self._active_records = self._load_file(self.path / name)
-        else:
-            self._active_records = self._load_file(self.path)
+    def _files(self) -> List[Path]:
+        """The on-disk files holding this store's records, in order.
 
-    def _load_file(self, path: Path) -> int:
-        """Load one JSONL file into the in-memory maps; returns its record count.
+        A legacy directory store is its ``shard-*.jsonl`` files in name
+        order (its ``MANIFEST.json``, if any, is ignored: shards are
+        named by index, so the glob is what the manifest resolved to).
+        """
+        if self.path is None or not self.path.exists():
+            return []
+        if self.path.is_dir():
+            return sorted(self.path.glob("shard-*.jsonl"))
+        return [self.path]
+
+    def _load_file(self, path: Path) -> None:
+        """Load one JSONL file into the in-memory maps.
 
         Streamed line by line (legacy single-file stores can be huge).
         The final line is allowed to be torn (no terminating newline and
@@ -316,7 +202,6 @@ class RunStore:
         the record it held was never acknowledged as committed.  Any
         other malformed line is corruption and raises.
         """
-        records = 0
         needs_newline = False
         offset = line_number = 0
         with path.open("rb") as handle:
@@ -365,7 +250,6 @@ class RunStore:
                     raise ConfigurationError(
                         f"{path}:{line_number}: unknown record kind {kind!r}"
                     )
-                records += 1
                 self._physical_records += 1
         if needs_newline and not self.read_only:
             try:
@@ -373,7 +257,6 @@ class RunStore:
                     handle.write("\n")
             except OSError:
                 pass  # read-only filesystem: the in-memory state is still right
-        return records
 
     # -- writing ---------------------------------------------------------
 
@@ -449,6 +332,14 @@ class RunStore:
         for record in self._runs.values():
             yield copy.deepcopy(record["row"])
 
+    def iter_rows_full_rescan(self) -> Iterator[Dict[str, object]]:
+        """The same rows as :meth:`iter_rows`.
+
+        A JSONL store has no row projection to bypass: its rows already
+        come from the record payloads.
+        """
+        return self.iter_rows()
+
     def iter_run_records(self) -> Iterator[Dict[str, object]]:
         """Every live run record, in insertion order.
 
@@ -492,9 +383,8 @@ class RunStore:
 
         Drops superseded duplicates (``resume=False`` re-runs, merged
         overlaps).  The rewrite is crash-safe: the full live record set
-        is written to a temporary and renamed into place (for sharded
-        stores: as one consolidated shard) before any old file is
-        removed, so no window loses committed records.  A second
+        is written to a temporary and renamed over the old file, so no
+        window loses committed records.  A second
         :meth:`compact` is a no-op (idempotent).  Returns
         ``{"before": .., "after": .., "dropped": ..}`` physical record
         counts; in-memory stores report zeros.
@@ -505,44 +395,19 @@ class RunStore:
         self.close()
         live = list(self._live_records())
         before = self._physical_records
-        if self._sharded:
-            self.path.mkdir(parents=True, exist_ok=True)
-            # The compacted output is one shard regardless of
-            # shard_records (appends re-grow the shard set from there):
-            # a single os.replace switches the whole live record set
-            # atomically *before* any old shard is removed.  Every
-            # crash window is then safe -- stale shards left behind
-            # only re-assert the newest value of keys they contain
-            # (within-shard order is append order), and the
-            # self-healing glob drops them once the unlinks complete.
-            name = _shard_name(0)
-            self._rewrite_atomically(self.path / name, live)
-            for stale in self._shards:
-                if stale != name:
-                    (self.path / stale).unlink(missing_ok=True)
-            self._shards = [name]
-            self._write_manifest()
-        else:
-            self._rewrite_atomically(self.path, live)
-        self._active_records = len(live)
-        self._physical_records = len(live)
-        return {"before": before, "after": len(live), "dropped": before - len(live)}
-
-    def _rewrite_atomically(self, target: Path, records: List[Dict[str, object]]) -> None:
-        """Write ``records`` to a temporary and rename it over ``target``.
-
-        Always fsyncs, whatever the durability level: this path deletes
-        the only other copy of committed (possibly fsynced) records, so
-        the knob that governs append acknowledgment latency must not
-        weaken a destructive rewrite.
-        """
-        tmp = target.with_name(target.name + ".tmp")
+        # Always fsynced, whatever the durability level: the rename
+        # deletes the only other copy of committed (possibly fsynced)
+        # records, so the knob that governs append acknowledgment
+        # latency must not weaken a destructive rewrite.
+        tmp = self.path.with_name(self.path.name + ".tmp")
         with tmp.open("w", encoding="utf-8") as handle:
-            for record in records:
+            for record in live:
                 handle.write(json.dumps(record) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(tmp, target)
+        os.replace(tmp, self.path)
+        self._physical_records = len(live)
+        return {"before": before, "after": len(live), "dropped": before - len(live)}
 
     def merge_from(self, source: Union["RunStore", str, Path]) -> Dict[str, int]:
         """Fold ``source`` (a store of any backend, or a path) into this one.
@@ -572,7 +437,7 @@ class RunStore:
                 yield json.dumps(record)
             return
         self.flush()
-        for path in self.shard_paths():
+        for path in self._files():
             with path.open("rb") as handle:
                 for raw in handle:
                     terminated = raw.endswith(b"\n")
@@ -659,8 +524,8 @@ def _looks_like_sqlite(path: Path) -> bool:
 def detect_backend(path: Union[str, Path]) -> str:
     """Classify a store path as ``"jsonl"`` or ``"columnar"``.
 
-    Existing paths are classified by what they hold (directories and
-    JSONL files are ``jsonl``; files starting with the SQLite magic are
+    Existing paths are classified by what they hold (legacy directories
+    and JSONL files are ``jsonl``; files starting with the SQLite magic are
     ``columnar``); fresh paths by their suffix (``.sqlite`` /
     ``.sqlite3`` / ``.db`` select the columnar backend).
     """
@@ -677,7 +542,6 @@ def open_store(
     backend: str = "auto",
     durability: str = "batch",
     batch_size: int = 64,
-    shard_records: int = 4096,
     read_only: bool = False,
 ):
     """Open a run store of any backend behind one construction seam.
@@ -703,13 +567,7 @@ def open_store(
         return ColumnarStore(
             path, durability=durability, batch_size=batch_size, read_only=read_only
         )
-    return RunStore(
-        path,
-        durability=durability,
-        batch_size=batch_size,
-        shard_records=shard_records,
-        read_only=read_only,
-    )
+    return RunStore(path, durability=durability, batch_size=batch_size, read_only=read_only)
 
 
 def _same_store_path(a: Optional[Path], b: Optional[Path]) -> bool:
@@ -769,15 +627,16 @@ def convert_store(
     destination: Union[str, Path],
     backend: str = "auto",
     durability: str = "batch",
-    shard_records: int = 4096,
 ) -> Dict[str, object]:
     """Copy a store record-for-record into a fresh store at ``destination``.
 
     Every physical record's JSON text travels verbatim (superseded
     records included), so ``JSONL -> columnar -> JSONL`` round trips are
-    byte-identical for single-file stores and byte-identical per record
-    stream for sharded ones.  The destination must not exist; the source
-    is opened read-only.
+    byte-identical, and a legacy directory store converts to the file
+    its shards concatenate to.  The destination must not exist; the
+    source is opened read-only.  The copy is built at a temporary
+    sibling with the destination's suffix and renamed into place only
+    once closed, so an interrupted conversion leaves no destination.
     """
     source_path = Path(source)
     if not source_path.exists():
@@ -785,11 +644,11 @@ def convert_store(
     dest_path = Path(destination)
     if dest_path.exists():
         raise ConfigurationError(f"refusing to convert onto existing path {dest_path}")
+    partial = dest_path.with_name(f".{dest_path.stem}.partial{dest_path.suffix}")
+    partial.unlink(missing_ok=True)  # left behind by a killed conversion
     src = open_store(source_path, read_only=True)
     try:
-        dest = open_store(
-            dest_path, backend=backend, durability=durability, shard_records=shard_records
-        )
+        dest = open_store(partial, backend=backend, durability=durability)
         try:
             records = 0
             for line in src.iter_record_lines():
@@ -797,6 +656,10 @@ def convert_store(
                 records += 1
         finally:
             dest.close()
+        os.replace(partial, dest_path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     finally:
         src.close()
     return {"records": records, "backend": dest.backend_name}

@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="run store; completed cells are appended with provenance "
-        "(JSONL file, sharded directory, or columnar sqlite file)",
+        "(JSONL file or columnar sqlite file)",
     )
     campaign_parser.add_argument(
         "--store-backend",
@@ -271,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         required=True,
         metavar="PATH",
-        help="run store (JSONL file, sharded directory, or columnar sqlite "
-        "file); opened read-only",
+        help="run store (JSONL file or columnar sqlite file); opened read-only",
     )
     report_parser.add_argument(
         "--full-rescan",
@@ -344,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     store_parser = subparsers.add_parser(
-        "store", help="run-store maintenance (compact / merge)"
+        "store", help="run-store maintenance (compact / merge / convert)"
     )
     store_commands = store_parser.add_subparsers(dest="store_command", required=True)
     compact_parser = store_commands.add_parser(
@@ -368,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     convert_parser = store_commands.add_parser(
         "convert",
         help="copy a store record-for-record into a new backend "
-        "(JSONL <-> columnar; byte-identical round trips)",
+        "(JSONL <-> columnar; byte-identical round trips) or migrate a "
+        "legacy sharded directory to one .jsonl file",
     )
     convert_parser.add_argument(
         "source", metavar="SOURCE", help="store to convert (opened read-only)"
@@ -479,7 +479,7 @@ def _run_lint(args: argparse.Namespace) -> int:
 
 
 def _run_store_maintenance(args: argparse.Namespace) -> int:
-    """Handle the ``store compact`` / ``store merge`` subcommands."""
+    """Handle the ``store compact`` / ``store merge`` / ``store convert`` subcommands."""
     if args.store_command == "compact":
         store_path = Path(args.store)
         if not store_path.exists():

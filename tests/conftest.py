@@ -8,6 +8,9 @@ the benchmarks cover the scaling story.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.graphs import (
@@ -66,3 +69,30 @@ def network(small_random_graph):
 def path_network(small_path_graph):
     """A CONGEST network over the small path graph."""
     return SyncNetwork(small_path_graph)
+
+
+def _split_into_legacy_directory(source: Path, directory: Path, torn_tail: bool = False) -> Path:
+    """Lay ``source``'s JSONL lines out as a legacy sharded-directory store.
+
+    The old layout: two ``shard-NNNNN.jsonl`` files holding the lines in
+    order, and a stale ``MANIFEST.json`` listing only the first (the
+    state a crash left before the manifest caught up).  ``torn_tail``
+    appends a half-written record to the last shard.
+    """
+    lines = source.read_bytes().splitlines(keepends=True)
+    half = (len(lines) + 1) // 2
+    directory.mkdir()
+    (directory / "shard-00000.jsonl").write_bytes(b"".join(lines[:half]))
+    (directory / "shard-00001.jsonl").write_bytes(b"".join(lines[half:]))
+    if torn_tail:
+        with (directory / "shard-00001.jsonl").open("ab") as handle:
+            handle.write(b'{"kind": "run", "key": "torn')
+    manifest = {"version": 2, "shards": ["shard-00000.jsonl"], "shard_records": half}
+    (directory / "MANIFEST.json").write_text(json.dumps(manifest) + "\n", encoding="utf-8")
+    return directory
+
+
+@pytest.fixture(scope="session")
+def legacy_directory():
+    """Factory: ``legacy_directory(source_jsonl, directory, torn_tail=False)``."""
+    return _split_into_legacy_directory

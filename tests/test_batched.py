@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.algorithms import run_algorithm
-from repro.campaign import Campaign, execute_campaign, run_spec, RunStore
+from repro.campaign import Campaign, execute_campaign, open_store, run_spec, RunStore
 from repro.campaign.executor import _BatchRunner, _provenance
 from repro.campaign.scheduler import partition_units
 from repro.campaign.spec import graph_spec_for, RunSpec
@@ -241,6 +242,29 @@ class TestScheduledEquivalence:
         in_process = execute_campaign(campaign)
         assert in_process.workers == 0
         assert report.rows == in_process.rows
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
+    def test_worker_shards_are_single_files_on_the_store_backend(
+        self, tmp_path, monkeypatch, suffix
+    ):
+        """Each worker's shard is one ``worker-NN`` file on the caller's
+        backend, and every one of them is folded into the caller's store."""
+        campaign = _sixteen_cell_grid()
+        store = open_store(tmp_path / f"sched{suffix}")
+        folded = []
+        merge_from = store.merge_from
+
+        def recording_merge(source):
+            folded.append((Path(source).name, Path(source).is_file()))
+            return merge_from(source)
+
+        monkeypatch.setattr(store, "merge_from", recording_merge)
+        report = execute_campaign(campaign, store=store, jobs=2)
+        store.close()
+        assert report.workers == 2
+        assert folded == [(f"worker-00{suffix}", True), (f"worker-01{suffix}", True)]
+        with open_store(tmp_path / f"sched{suffix}", read_only=True) as reloaded:
+            assert sorted(reloaded.run_keys()) == sorted(campaign.run_keys())
 
     def test_resume_across_scheduled_and_serial(self, tmp_path):
         campaign = _sixteen_cell_grid()

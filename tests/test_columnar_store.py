@@ -1,7 +1,7 @@
 """Columnar (sqlite) run-store backend.
 
 The equivalence matrix here is the gate ROADMAP item 5 demands: the
-JSONL file, sharded-directory and columnar backends must produce
+JSONL file, a legacy sharded directory and the columnar backend must produce
 identical rows, identical ``CampaignAnalysis`` output and an identical
 rendered EXPERIMENTS.md from the same campaign, and ``store convert``
 round trips must be byte-identical.
@@ -298,22 +298,18 @@ class TestCrossBackendMerge:
 
 
 class TestEquivalenceMatrix:
-    """JSONL file / sharded dir / columnar: one campaign, identical output."""
+    """JSONL file / legacy sharded dir / columnar: one campaign, identical output."""
 
     @pytest.fixture(scope="class")
-    def matrix(self, tmp_path_factory):
+    def matrix(self, tmp_path_factory, legacy_directory):
         tmp = tmp_path_factory.mktemp("matrix")
         campaign = _campaign()
-        paths = {
-            "jsonl": tmp / "runs.jsonl",
-            "sharded": tmp / "runs-dir",
-            "columnar": tmp / "runs.sqlite",
-        }
-        for backend, path in paths.items():
-            kwargs = {"shard_records": 4} if backend == "sharded" else {}
-            store = open_store(path, **kwargs)
+        paths = {"jsonl": tmp / "runs.jsonl", "columnar": tmp / "runs.sqlite"}
+        for path in paths.values():
+            store = open_store(path)
             execute_campaign(campaign, store=store)
             store.close()
+        paths["sharded"] = legacy_directory(paths["jsonl"], tmp / "runs-dir")
         return paths
 
     def test_rows_identical_across_backends(self, matrix):
@@ -339,8 +335,13 @@ class TestEquivalenceMatrix:
         assert "bound-violation count: **0**" in documents["columnar"]
 
     def test_sharded_store_really_sharded(self, matrix):
-        store = open_store(matrix["sharded"], read_only=True)
-        assert store.is_sharded and len(store.shard_paths()) > 1
+        """The "sharded" column is a legacy directory of several
+        non-empty shards that together hold every run."""
+        shards = sorted(matrix["sharded"].glob("shard-*.jsonl"))
+        assert len(shards) > 1
+        assert all(shard.stat().st_size > 0 for shard in shards)
+        with open_store(matrix["sharded"], read_only=True) as legacy:
+            assert len(legacy) == len(_campaign())
 
 
 class TestConvert:
@@ -372,6 +373,37 @@ class TestConvert:
         with pytest.raises(ConfigurationError, match="no run store"):
             convert_store(tmp_path / "nope.jsonl", tmp_path / "new.sqlite")
 
+    @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
+    def test_interrupted_convert_leaves_no_destination(self, tmp_path, monkeypatch, suffix):
+        """Bugfix: a conversion interrupted after 2 of 4 records left a
+        destination holding 1 of 3 runs that looked complete, and the
+        retry refused to convert onto it."""
+        source = tmp_path / "src.jsonl"
+        with RunStore(source) as store:
+            store.record_graph("g", {"n": 16, "m": 20})
+            for index in range(3):
+                store.record_run(_spec(index), {"graph": "g", "v": index}, {}, {})
+        destination = tmp_path / f"dst{suffix}"
+        backend = ColumnarStore if suffix == ".sqlite" else RunStore
+        append = backend.append_record_line
+        copied = []
+
+        def interrupted(self, line):
+            if len(copied) == 2:
+                raise KeyboardInterrupt
+            append(self, line)
+            copied.append(line)
+
+        monkeypatch.setattr(backend, "append_record_line", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            convert_store(source, destination)
+        monkeypatch.undo()
+        assert len(copied) == 2
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["src.jsonl"]
+        assert convert_store(source, destination)["records"] == 4
+        convert_store(destination, tmp_path / "back.jsonl")
+        assert (tmp_path / "back.jsonl").read_bytes() == source.read_bytes()
+
     def test_converted_store_analysis_and_hashes_match(self, tmp_path):
         source = tmp_path / "src.jsonl"
         _store_with_golden_rows(RunStore(source))
@@ -385,14 +417,17 @@ class TestConvert:
 
 class TestColumnarReport:
     def test_run_rows_and_full_rescan_are_byte_identical(self, tmp_path):
-        path = tmp_path / "runs.sqlite"
-        with ColumnarStore(path) as store:
-            execute_campaign(_campaign(), store=store)
-        with ColumnarStore(path, read_only=True) as store:
-            assert list(store.iter_rows()) == list(store.iter_rows_full_rescan())
-            fast = render_markdown(analyze_store(store))
-            slow = render_markdown(analyze_store(store, full_rescan=True))
-        assert fast == slow
+        documents = []
+        for path in (tmp_path / "runs.sqlite", tmp_path / "runs.jsonl"):
+            with open_store(path) as store:
+                execute_campaign(_campaign(), store=store)
+            with open_store(path, read_only=True) as store:
+                assert list(store.iter_rows()) == list(store.iter_rows_full_rescan())
+                fast = render_markdown(analyze_store(store))
+                slow = render_markdown(analyze_store(store, full_rescan=True))
+            assert fast == slow
+            documents.append(fast)
+        assert documents[0] == documents[1]
 
     def test_superseding_append_keeps_run_rows_in_step(self, tmp_path):
         campaign = _campaign(sizes=(8, 12), algorithms=("elkin",))

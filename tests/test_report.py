@@ -322,32 +322,53 @@ class TestReportCLI:
         # Merged store serves the report too.
         assert main(["report", "--store", dest]) == 0
 
+    def test_legacy_directory_migrates_through_the_cli(
+        self, populated_store, tmp_path, capsys, legacy_directory
+    ):
+        """``report`` reads a legacy directory as it reads the file,
+        ``store compact`` refuses it with the migration command, and
+        ``store convert`` gives the single file back byte for byte."""
+        from repro.cli import main
+
+        directory = legacy_directory(Path(populated_store), tmp_path / "legacy")
+        capsys.readouterr()
+        assert main(["report", "--store", populated_store]) == 0
+        expected = capsys.readouterr().out
+        assert main(["report", "--store", str(directory)]) == 0
+        assert capsys.readouterr().out == expected
+        with pytest.raises(ConfigurationError, match="store convert"):
+            main(["store", "compact", "--store", str(directory)])
+        converted = tmp_path / "legacy.jsonl"
+        assert main(["store", "convert", str(directory), "--into", str(converted)]) == 0
+        assert converted.read_bytes() == Path(populated_store).read_bytes()
+
 
 class TestReportOverShardedStore:
-    def test_report_over_sharded_v2_directory_store(self, tmp_path):
-        """The report pipeline must read the sharded directory layout
+    def test_report_over_sharded_v2_directory_store(self, tmp_path, legacy_directory):
+        """The report pipeline must read a legacy sharded directory
         exactly as it reads a single file."""
         from repro.analysis.report import analyze_store
         from repro.campaign import RunStore
 
         rows = _golden_rows()
-        store = RunStore(tmp_path / "shards", shard_records=8)
-        for index, row in enumerate(rows):
-            store.append_record_line(
-                json.dumps(
-                    {
-                        "kind": "run",
-                        "key": f"k{index:04d}",
-                        "spec": {},
-                        "row": row,
-                        "result": {},
-                        "provenance": {},
-                    }
+        single = tmp_path / "rows.jsonl"
+        with RunStore(single) as store:
+            for index, row in enumerate(rows):
+                store.append_record_line(
+                    json.dumps(
+                        {
+                            "kind": "run",
+                            "key": f"k{index:04d}",
+                            "spec": {},
+                            "row": row,
+                            "result": {},
+                            "provenance": {},
+                        }
+                    )
                 )
-            )
-        store.close()
-        with RunStore(tmp_path / "shards", read_only=True) as reloaded:
-            assert reloaded.is_sharded and len(reloaded.shard_paths()) > 1
+        directory = legacy_directory(single, tmp_path / "shards")
+        with RunStore(directory, read_only=True) as reloaded:
+            assert len(reloaded) == len(rows)
             document = render_markdown(analyze_store(reloaded))
         assert document == render_markdown(analyze_rows(rows))
 

@@ -1,7 +1,7 @@
-"""Store v2: group commit, durability matrix, sharding, compact and merge.
+"""Store v2: group commit, durability matrix, legacy directories, compact and merge.
 
 The contract under test (DESIGN.md, Section 11): whatever the
-durability level and on-disk layout, a campaign that returned has all
+durability level, a campaign that returned has all
 of its records on disk, resume semantics are exact, and the final rows
 are byte-identical to the original per-record-fsync single-file store.
 """
@@ -12,8 +12,17 @@ import json
 
 import pytest
 
-from repro.campaign import Campaign, execute_campaign, graph_spec_for, run_spec, RunStore
-from repro.campaign.store import DURABILITY_LEVELS, MANIFEST_NAME
+from repro.analysis.report import analyze_store, render_markdown
+from repro.campaign import (
+    Campaign,
+    convert_store,
+    execute_campaign,
+    graph_spec_for,
+    open_store,
+    run_spec,
+    RunStore,
+)
+from repro.campaign.store import DURABILITY_LEVELS
 from repro.exceptions import ConfigurationError
 
 
@@ -227,43 +236,76 @@ class TestCrashRecovery:
 
 
 class TestShardedLayout:
-    def test_directory_path_selects_the_sharded_layout(self, tmp_path):
-        assert RunStore(tmp_path / "store-dir").is_sharded
-        assert not RunStore(tmp_path / "store.jsonl").is_sharded
+    """A JSONL store is one file; a directory is a read-only legacy store."""
 
     def test_existing_paths_classified_by_what_they_are(self, tmp_path):
         (tmp_path / "dir").mkdir()
         (tmp_path / "flat").write_text("")
-        assert RunStore(tmp_path / "dir").is_sharded
-        assert not RunStore(tmp_path / "flat").is_sharded
+        with pytest.raises(ConfigurationError, match="store convert"):
+            RunStore(tmp_path / "dir")
+        assert len(RunStore(tmp_path / "dir", read_only=True)) == 0
+        with RunStore(tmp_path / "flat") as flat:
+            flat.record_graph("g", {"n": 1, "m": 0})
+        assert (tmp_path / "flat").is_file()
 
-    def test_shards_roll_over_and_reload(self, tmp_path):
-        campaign = _campaign()
-        store = RunStore(tmp_path / "store", shard_records=2, batch_size=3)
-        report = execute_campaign(campaign, store=store)
-        store.close()
-        shards = sorted(p.name for p in (tmp_path / "store").glob("shard-*.jsonl"))
-        assert len(shards) >= 2
-        for shard in shards[:-1]:
-            lines = (tmp_path / "store" / shard).read_text().count("\n")
-            assert lines == 2
-        manifest = json.loads((tmp_path / "store" / MANIFEST_NAME).read_text())
-        assert manifest["version"] == 2
-        assert sorted(manifest["shards"]) == shards
-        reloaded = RunStore(tmp_path / "store")
-        assert len(reloaded) == len(campaign)
-        assert [reloaded.get_row(key) for key in campaign.run_keys()] == report.rows
+    def test_legacy_directory_reads_like_its_single_file(self, tmp_path, legacy_directory):
+        """Two shards, a stale manifest and a torn tail in the last shard:
+        read_only rows and the report equal the single-file store's, a
+        writable open names the migration, and ``store convert`` gives
+        the single file back byte for byte."""
+        single = tmp_path / "runs.jsonl"
+        with RunStore(single) as store:
+            execute_campaign(_campaign(), store=store)
+        directory = legacy_directory(single, tmp_path / "legacy", torn_tail=True)
+        on_disk = {path.name: path.read_bytes() for path in directory.iterdir()}
+        with RunStore(single, read_only=True) as expected:
+            with RunStore(directory, read_only=True) as legacy:
+                assert legacy.stats["recovered_lines"] == 1
+                assert list(legacy.iter_rows()) == list(expected.iter_rows())
+                assert render_markdown(analyze_store(legacy)) == render_markdown(
+                    analyze_store(expected)
+                )
+        # read_only: the torn tail is dropped in memory, not cut from disk.
+        assert {path.name: path.read_bytes() for path in directory.iterdir()} == on_disk
+        with pytest.raises(ConfigurationError, match=r"store convert .*legacy\.jsonl"):
+            RunStore(directory)
+        convert_store(directory, tmp_path / "legacy.jsonl")
+        assert (tmp_path / "legacy.jsonl").read_bytes() == single.read_bytes()
 
-    def test_shard_not_in_manifest_is_globbed_back(self, tmp_path):
-        """Self-healing: a crash between shard creation and manifest update."""
-        store = RunStore(tmp_path / "store", shard_records=2, batch_size=2)
-        execute_campaign(_campaign(), store=store)
-        store.close()
-        manifest_path = tmp_path / "store" / MANIFEST_NAME
-        manifest = json.loads(manifest_path.read_text())
-        manifest["shards"] = manifest["shards"][:1]
-        manifest_path.write_text(json.dumps(manifest))
-        assert len(RunStore(tmp_path / "store")) == len(_campaign())
+    def test_shard_not_in_manifest_is_globbed_back(self, tmp_path, legacy_directory):
+        """A crash left the manifest listing only the first shard; the
+        legacy reader ignores the manifest and globs every shard."""
+        single = tmp_path / "runs.jsonl"
+        with RunStore(single) as store:
+            execute_campaign(_campaign(), store=store)
+        directory = legacy_directory(single, tmp_path / "legacy")
+        manifest = json.loads((directory / "MANIFEST.json").read_text())
+        assert manifest["shards"] == ["shard-00000.jsonl"]
+        with RunStore(directory, read_only=True) as legacy:
+            assert len(legacy) == len(_campaign())
+            assert sorted(legacy.run_keys()) == sorted(_campaign().run_keys())
+
+    def test_legacy_directory_rejects_every_write(self, tmp_path, legacy_directory):
+        """Read-only means read-only for a legacy directory too: no write
+        path touches its files, and ``open_store`` routes it the same way."""
+        single = tmp_path / "runs.jsonl"
+        with RunStore(single) as store:
+            execute_campaign(_campaign(), store=store)
+        directory = legacy_directory(single, tmp_path / "legacy")
+        on_disk = {path.name: path.read_bytes() for path in directory.iterdir()}
+        with RunStore(directory, read_only=True) as legacy:
+            with pytest.raises(ConfigurationError, match="read_only"):
+                legacy.record_graph("h", {"n": 2, "m": 1})
+            with pytest.raises(ConfigurationError, match="read_only"):
+                legacy.compact()
+            with pytest.raises(ConfigurationError, match="read_only"):
+                legacy.merge_from(single)
+        with pytest.raises(ConfigurationError, match="store convert"):
+            open_store(directory)
+        with open_store(directory, read_only=True) as opened:
+            assert opened.backend_name == "jsonl"
+            assert len(opened) == len(_campaign())
+        assert {path.name: path.read_bytes() for path in directory.iterdir()} == on_disk
 
     def test_legacy_single_file_store_reads_transparently(self, tmp_path):
         """A v1-era file (one record per line, no manifest) just works."""
@@ -272,7 +314,6 @@ class TestShardedLayout:
         report = execute_campaign(_campaign(), store=store)
         store.close()
         legacy = RunStore(path)
-        assert not legacy.is_sharded
         assert len(legacy) == len(report.rows)
         # ... and it can keep serving resumes and merges.
         resumed = execute_campaign(_campaign(), store=RunStore(path))
@@ -302,49 +343,8 @@ class TestCompact:
         assert second["dropped"] == 0
         assert second["before"] == second["after"] == first["after"]
 
-    def test_compact_sharded_store_consolidates_to_one_shard(self, tmp_path):
-        store = RunStore(tmp_path / "store", shard_records=2, batch_size=2)
-        execute_campaign(_campaign(), store=store)
-        execute_campaign(_campaign(), store=store, resume=False)
-        shards_before = len(list((tmp_path / "store").glob("shard-*.jsonl")))
-        store.compact()
-        assert shards_before > 1
-        # One consolidated shard: the whole live set switches with one
-        # atomic rename before any stale shard is unlinked.
-        assert [p.name for p in (tmp_path / "store").glob("shard-*.jsonl")] == [
-            "shard-00000.jsonl"
-        ]
-        assert len(RunStore(tmp_path / "store")) == len(_campaign())
-        assert not list((tmp_path / "store").glob("*.tmp"))
-
-    def test_crash_between_compact_rename_and_unlink_loses_nothing(self, tmp_path):
-        """The documented crash window: new shard in place, stale shards left.
-
-        Stale shards only re-assert the newest value of keys they hold
-        (within-shard order is append order), so a load over the
-        half-finished layout must equal the fully compacted one.
-        """
-        store = RunStore(tmp_path / "store", shard_records=2, batch_size=2)
-        execute_campaign(_campaign(), store=store)
-        execute_campaign(_campaign(), store=store, resume=False)
-        store.close()
-        stale = sorted((tmp_path / "store").glob("shard-*.jsonl"))
-        saved = {p.name: p.read_bytes() for p in stale}
-        compacted = RunStore(tmp_path / "store", shard_records=2)
-        compacted.compact()
-        expected = {key: compacted.get_row(key) for key in compacted.run_keys()}
-        # Re-materialize the crash state: compacted shard-00000 plus the
-        # old stale shards that the interrupted unlink loop left behind.
-        for name, data in saved.items():
-            if name != "shard-00000.jsonl":
-                (tmp_path / "store" / name).write_bytes(data)
-        crashed = RunStore(tmp_path / "store")
-        assert len(crashed) == len(expected)
-        for key, row in expected.items():
-            assert crashed.get_row(key) == row
-
     def test_store_keeps_appending_after_compact(self, tmp_path):
-        store = RunStore(tmp_path / "store", shard_records=2, batch_size=2)
+        store = RunStore(tmp_path / "store", batch_size=2)
         half = Campaign("half", _campaign().specs[:2])
         execute_campaign(half, store=store)
         store.compact()
@@ -371,6 +371,22 @@ class TestMerge:
         merged.close()
         # The merged store resumes the full campaign with zero work.
         report = execute_campaign(campaign, store=RunStore(tmp_path / "merged"))
+        assert report.executed == 0
+        assert report.reused == len(campaign)
+
+    def test_merge_accepts_a_legacy_directory_source(self, tmp_path, legacy_directory):
+        campaign = _campaign()
+        single = tmp_path / "runs.jsonl"
+        with RunStore(single) as store:
+            execute_campaign(campaign, store=store)
+        directory = legacy_directory(single, tmp_path / "legacy")
+        on_disk = {path.name: path.read_bytes() for path in directory.iterdir()}
+        with RunStore(tmp_path / "merged.jsonl") as merged:
+            stats = merged.merge_from(directory)
+        assert stats["runs"] == len(campaign)
+        # The source is opened read_only: merging never touches it.
+        assert {path.name: path.read_bytes() for path in directory.iterdir()} == on_disk
+        report = execute_campaign(campaign, store=RunStore(tmp_path / "merged.jsonl"))
         assert report.executed == 0
         assert report.reused == len(campaign)
 
@@ -434,14 +450,15 @@ class TestStoreContractBugfixes:
 
     def test_uppercase_jsonl_suffix_is_a_single_file_store(self, tmp_path):
         """Bugfix: the layout sniff compared suffixes case-sensitively,
-        so ``runs.JSONL`` silently became a sharded directory."""
-        path = tmp_path / "runs.JSONL"
-        with RunStore(path) as store:
-            store.record_graph("g", {"n": 1, "m": 0})
-        assert path.is_file()
-        with RunStore(path) as reloaded:
-            assert not reloaded.is_sharded
-            assert reloaded.graph_keys() == ["g"]
+        so ``runs.JSONL`` silently became a sharded directory.  Any fresh
+        path, suffix or not, is a single file."""
+        for name in ("runs.JSONL", "runs"):
+            path = tmp_path / name
+            with RunStore(path) as store:
+                store.record_graph("g", {"n": 1, "m": 0})
+            assert path.is_file()
+            with RunStore(path) as reloaded:
+                assert reloaded.graph_keys() == ["g"]
 
     def test_mutating_returned_structures_cannot_corrupt_the_store(self, tmp_path):
         """Bugfix: reads returned shallow copies, so mutating a nested
