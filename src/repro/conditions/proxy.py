@@ -120,6 +120,9 @@ class ConditionedEngine(Engine):
             self.deliver_round = inner.deliver_round
             self.pending_count = inner.pending_count
             self.idle_rounds = inner.idle_rounds
+            # Closed-form tree waves too.  Under an active model the
+            # inherited default declines them: faults act per message.
+            self.charge_tree_wave = inner.charge_tree_wave
 
     # -- deterministic hashing -------------------------------------------
 

@@ -200,6 +200,25 @@ class Engine(abc.ABC):
         messages are pending or ``count`` is negative.
         """
 
+    def charge_tree_wave(self, rounds: int, messages: int, kind: str) -> bool:
+        """Charge a whole forest wave at once instead of simulating it.
+
+        A broadcast or convergecast over a rooted forest, run alone on a
+        quiet network, takes exactly ``rounds`` (the forest's height)
+        rounds and sends ``messages`` one-word messages of ``kind``, one
+        per tree edge.  An engine that accepts returns ``True`` after
+        advancing the clock and charging those messages exactly as
+        delivering them would have (``messages_by_kind`` included); the
+        primitive then computes the wave's outputs from the forest alone.
+        Returning ``False`` makes the primitive simulate every message.
+
+        The default declines, so a proxy that does not know this method
+        -- one that acts per message, like a network condition, or one
+        that observes every delivery -- keeps the message path.  The
+        built-in kernels accept unless messages are already in flight.
+        """
+        return False
+
 
 # ---------------------------------------------------------------------- #
 # registry

@@ -309,6 +309,14 @@ class FastNetwork(Engine):
         self._generation += count
         self._gen_base = self._generation * self._band_span
 
+    def charge_tree_wave(self, rounds: int, messages: int, kind: str) -> bool:
+        """Charge a quiet forest wave in bulk (see :meth:`Engine.charge_tree_wave`)."""
+        if self._touched:
+            return False
+        self.idle_rounds(rounds)
+        self.metrics.record_bulk(messages, messages, kind=kind)
+        return True
+
 
 register_engine("fast", FastNetwork)
 

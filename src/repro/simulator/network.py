@@ -186,5 +186,13 @@ class SyncNetwork(Engine):
         for _ in range(count):
             self.metrics.record_round()
 
+    def charge_tree_wave(self, rounds: int, messages: int, kind: str) -> bool:
+        """Charge a quiet forest wave in bulk (see :meth:`Engine.charge_tree_wave`)."""
+        if self._pending:
+            return False
+        self.idle_rounds(rounds)
+        self.metrics.record_bulk(messages, messages, kind=kind)
+        return True
+
 
 register_engine("reference", SyncNetwork)

@@ -37,11 +37,7 @@ class _ForestBroadcastProtocol(NodeProtocol):
             raise ProtocolError(
                 f"forest_broadcast: {len(missing)} roots have no value to broadcast, e.g. {missing[0]}"
             )
-        for child, parent in forest.edges():
-            if not network.has_edge(child, parent):
-                raise ProtocolError(
-                    f"forest_broadcast: tree edge ({child}, {parent}) is not a graph edge"
-                )
+        forest.check_edges(network, "forest_broadcast")
         self._forest = forest
         self._root_values = root_values
         self._value: Dict[VertexId, Any] = {}
@@ -78,15 +74,39 @@ class _ForestBroadcastProtocol(NodeProtocol):
             raise ProtocolError(f"broadcast did not reach {len(missing)} vertices")
         return dict(self._value)
 
+    def closed_form(self) -> Dict[VertexId, Any]:
+        """The message path's result, computed in one pass over the forest.
+
+        Visits the vertices in :attr:`RootedForest.level_order`, the order
+        the message path reaches them in.
+        """
+        parent = self._forest.parent
+        value = self._value
+        for vertex in self._forest.level_order:
+            up = parent[vertex]
+            value[vertex] = self._root_values[vertex] if up is None else value[up]
+        return value
+
 
 def forest_broadcast(
     network: Engine, forest: RootedForest, root_values: Dict[VertexId, Any]
 ) -> Dict[VertexId, Any]:
     """Broadcast ``root_values[r]`` from every root ``r`` to its whole tree.
 
-    Returns the value learnt by each vertex of the forest.  Cost: at most
-    ``height(forest) + 1`` rounds and exactly ``size(forest) - #roots``
-    messages (all trees proceed in parallel).
+    Returns the value learnt by each vertex of the forest, keyed in
+    ``(depth, vertex)`` order.  Cost: exactly ``height(forest)`` rounds
+    and ``size(forest) - #roots`` one-word messages (all trees proceed in
+    parallel).
+
+    That cost depends on the forest alone, so when the engine accepts
+    :meth:`~repro.simulator.engine.Engine.charge_tree_wave` the wave is
+    charged in closed form and its values are read off the forest in one
+    pass; otherwise (messages already in flight, or a proxy such as a
+    network condition that acts per message) every message is simulated.
     """
     protocol = _ForestBroadcastProtocol(network, forest, root_values)
+    if network.charge_tree_wave(
+        forest.height, forest.size - len(forest.roots), f"{protocol.name}:value"
+    ):
+        return protocol.closed_form()
     return run_protocol(network, protocol)

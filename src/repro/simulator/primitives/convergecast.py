@@ -62,17 +62,10 @@ class _ForestConvergecastProtocol(NodeProtocol):
             raise ProtocolError(
                 f"forest_convergecast: {len(missing)} vertices have no input value, e.g. {missing[0]}"
             )
-        for child, parent in forest.edges():
-            if not network.has_edge(child, parent):
-                raise ProtocolError(
-                    f"forest_convergecast: tree edge ({child}, {parent}) is not a graph edge"
-                )
+        forest.check_edges(network, "forest_convergecast")
         self._forest = forest
         self._combiner = combiner
         self._accumulated: Dict[VertexId, Any] = dict(values)
-        self._expected: Dict[VertexId, int] = {
-            v: len(forest.children[v]) for v in self.participants
-        }
         self._received_from: Dict[VertexId, Dict[VertexId, Any]] = {
             v: {} for v in self.participants
         }
@@ -81,7 +74,7 @@ class _ForestConvergecastProtocol(NodeProtocol):
     def _maybe_send_up(self, vertex: VertexId, api: ProtocolApi) -> None:
         if vertex in self._sent:
             return
-        if len(self._received_from[vertex]) < self._expected[vertex]:
+        if len(self._received_from[vertex]) < len(self._forest.children[vertex]):
             return
         self._sent.add(vertex)
         parent = self._forest.parent[vertex]
@@ -118,6 +111,27 @@ class _ForestConvergecastProtocol(NodeProtocol):
             child_values=self._received_from,
         )
 
+    def closed_form(self) -> ConvergecastResult:
+        """The message path's result, computed in one pass over the forest.
+
+        Folds every child into its parent in :attr:`RootedForest.fold_order`,
+        which is the order the message path delivers the aggregates in.
+        """
+        accumulated = self._accumulated
+        received_from = self._received_from
+        combiner = self._combiner
+        parent = self._forest.parent
+        for child in self._forest.fold_order:
+            up = parent[child]
+            child_value = accumulated[child]
+            received_from[up][child] = child_value
+            accumulated[up] = combiner(accumulated[up], child_value)
+        return ConvergecastResult(
+            root_values={root: accumulated[root] for root in self._forest.roots},
+            per_vertex=accumulated,
+            child_values=received_from,
+        )
+
 
 def forest_convergecast(
     network: Engine,
@@ -128,8 +142,22 @@ def forest_convergecast(
     """Aggregate ``values`` towards the root of every tree of ``forest``.
 
     ``combiner`` must be associative and commutative and its results must
-    fit in O(1) words (e.g. ``min``, ``+``, logical or).  Cost: at most
-    ``height(forest) + 1`` rounds and one message per non-root vertex.
+    fit in O(1) words (e.g. ``min``, ``+``, logical or).  Cost: exactly
+    ``height(forest)`` rounds and one one-word message per non-root
+    vertex.
+
+    Each vertex folds its children's aggregates in the order they arrive:
+    by subtree height, then by vertex (``child_values`` keeps that order).
+    As with :func:`~repro.simulator.primitives.broadcast.forest_broadcast`,
+    an engine that accepts
+    :meth:`~repro.simulator.engine.Engine.charge_tree_wave` gets the wave
+    in closed form -- the same folds in the same order, in one pass over
+    :attr:`RootedForest.fold_order` -- and any other engine simulates
+    every message.
     """
     protocol = _ForestConvergecastProtocol(network, forest, values, combiner)
+    if network.charge_tree_wave(
+        forest.height, forest.size - len(forest.roots), f"{protocol.name}:aggregate"
+    ):
+        return protocol.closed_form()
     return run_protocol(network, protocol)

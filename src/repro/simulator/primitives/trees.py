@@ -10,12 +10,16 @@ malformed forest would silently corrupt cost accounting.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from ...exceptions import ProtocolError
 from ...types import VertexId
+
+if TYPE_CHECKING:
+    from ..engine import Engine
 
 
 @dataclass
@@ -25,12 +29,25 @@ class RootedForest:
     Attributes:
         parent: maps every vertex of the forest to its parent, or ``None``
             for roots.  The key set defines the vertex set of the forest.
+            It must not be mutated after construction: every derived
+            attribute below is computed once from it.
+        depth: distance of every vertex from its root, keyed in
+            ``level_order``.
+        level_order: all vertices sorted by ``(depth, vertex)`` -- the
+            order in which a broadcast reaches them.
+        subtree_height: height of the subtree hanging from every vertex
+            (0 for leaves) -- the round in which a convergecast sends
+            that vertex's aggregate.
     """
 
     parent: Dict[VertexId, Optional[VertexId]]
     children: Dict[VertexId, Tuple[VertexId, ...]] = field(init=False)
     roots: Tuple[VertexId, ...] = field(init=False)
     depth: Dict[VertexId, int] = field(init=False)
+    level_order: Tuple[VertexId, ...] = field(init=False, repr=False, compare=False)
+    subtree_height: Dict[VertexId, int] = field(init=False, repr=False, compare=False)
+    #: the graph every tree edge was last checked against (see check_edges)
+    _checked_graph: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.parent:
@@ -53,23 +70,30 @@ class RootedForest:
         self.children = {v: tuple(sorted(children.get(v, ()))) for v in self.parent}
         self.roots = tuple(sorted(roots))
 
-        # Depth by BFS from the roots; detects unreachable vertices (cycles).
+        # Depth by level-synchronous BFS from the roots, each level sorted;
+        # detects unreachable vertices (cycles).
         depth: Dict[VertexId, int] = {}
-        queue: deque[VertexId] = deque()
-        for root in self.roots:
-            depth[root] = 0
-            queue.append(root)
-        while queue:
-            vertex = queue.popleft()
-            for child in self.children[vertex]:
-                depth[child] = depth[vertex] + 1
-                queue.append(child)
+        level: List[VertexId] = list(self.roots)
+        distance = 0
+        while level:
+            for vertex in level:
+                depth[vertex] = distance
+            distance += 1
+            level = sorted(child for vertex in level for child in self.children[vertex])
         if len(depth) != len(self.parent):
             missing = set(self.parent) - set(depth)
             raise ProtocolError(
                 f"{len(missing)} vertices unreachable from any root (cycle?), e.g. {next(iter(missing))}"
             )
         self.depth = depth
+        self.level_order = tuple(depth)
+
+        height = dict.fromkeys(self.level_order, 0)
+        for vertex in reversed(self.level_order):
+            parent = self.parent[vertex]
+            if parent is not None and height[vertex] >= height[parent]:
+                height[parent] = height[vertex] + 1
+        self.subtree_height = height
 
     # ------------------------------------------------------------------ #
 
@@ -86,7 +110,46 @@ class RootedForest:
     @property
     def height(self) -> int:
         """Maximum depth over all vertices (0 for a forest of singletons)."""
-        return max(self.depth.values())
+        return self.depth[self.level_order[-1]]
+
+    @functools.cached_property
+    def fold_order(self) -> Tuple[VertexId, ...]:
+        """Non-root vertices in the order a convergecast folds them into their parents.
+
+        Sorted by ``(subtree height, parent, vertex)``: a vertex's
+        aggregate is sent in the round equal to its subtree height, the
+        round driver visits receivers in sorted order, and each receiver
+        reads its inbox in sender order.
+        """
+        parent = self.parent
+        height = self.subtree_height
+        return tuple(
+            sorted(
+                (vertex for vertex, up in parent.items() if up is not None),
+                key=lambda vertex: (height[vertex], parent[vertex], vertex),
+            )
+        )
+
+    def check_edges(self, network: "Engine", primitive: str) -> None:
+        """Raise unless the forest lives in ``network``'s graph.
+
+        Every tree edge must be a graph edge (:class:`ProtocolError`
+        naming ``primitive``) and every vertex a graph vertex (the
+        engine's own error from :meth:`Engine.node`).  The verdict is
+        cached against the graph object, so a forest reused by many
+        waves on one engine is checked once.
+        """
+        graph = network.graph
+        if self._checked_graph is graph:
+            return
+        for child, parent in self.edges():
+            if not network.has_edge(child, parent):
+                raise ProtocolError(
+                    f"{primitive}: tree edge ({child}, {parent}) is not a graph edge"
+                )
+        for vertex in self.parent:
+            network.node(vertex)
+        self._checked_graph = graph
 
     def is_root(self, vertex: VertexId) -> bool:
         """True when ``vertex`` is a root of its tree."""
@@ -125,14 +188,6 @@ class RootedForest:
     def edges(self) -> List[Tuple[VertexId, VertexId]]:
         """Tree edges as (child, parent) pairs."""
         return [(v, p) for v, p in self.parent.items() if p is not None]
-
-    def bottom_up_order(self) -> List[VertexId]:
-        """Vertices sorted by decreasing depth (children before parents)."""
-        return sorted(self.parent, key=lambda v: -self.depth[v])
-
-    def top_down_order(self) -> List[VertexId]:
-        """Vertices sorted by increasing depth (parents before children)."""
-        return sorted(self.parent, key=lambda v: self.depth[v])
 
     @staticmethod
     def single_tree(parent: Dict[VertexId, Optional[VertexId]]) -> "RootedForest":

@@ -20,6 +20,8 @@ from repro.graphs import (
     random_connected_graph,
     star_graph,
 )
+from repro.simulator.engine import Engine
+from repro.simulator.fast_network import FastNetwork
 from repro.simulator.network import SyncNetwork
 
 
@@ -57,6 +59,18 @@ def small_star_graph():
 def small_complete_graph():
     """A 12-vertex complete graph (diameter 1, dense)."""
     return complete_graph(12, seed=6)
+
+
+@pytest.fixture
+def message_path_waves(monkeypatch):
+    """Make both kernels decline closed-form tree waves for one test.
+
+    Every ``forest_broadcast`` / ``forest_convergecast`` then simulates
+    each message through ``run_protocol``, as a proxy that declines
+    ``Engine.charge_tree_wave`` would.
+    """
+    for kernel in (SyncNetwork, FastNetwork):
+        monkeypatch.setattr(kernel, "charge_tree_wave", Engine.charge_tree_wave)
 
 
 @pytest.fixture

@@ -89,7 +89,7 @@ class TestForestBroadcast:
         assert all(values[v] == "left" for v in range(5))
         assert all(values[v] == "right" for v in range(5, 10))
         assert network.metrics.messages == 8
-        assert network.round <= forest.height + 1
+        assert network.round == forest.height
 
     def test_missing_root_value_raises(self):
         network = SyncNetwork(path_graph(3, seed=1))

@@ -42,7 +42,7 @@ class TestIntervalAssignment:
         network, tree = _bfs_tree(graph)
         routing = assign_intervals(network, tree.forest)
         sizes = {v: 1 for v in tree.forest.vertices}
-        for vertex in tree.forest.bottom_up_order():
+        for vertex in reversed(tree.forest.level_order):
             parent = tree.forest.parent[vertex]
             if parent is not None:
                 sizes[parent] += sizes[vertex]

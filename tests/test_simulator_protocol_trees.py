@@ -233,8 +233,16 @@ class TestRootedForest:
 
     def test_orders(self):
         forest = RootedForest(parent={0: None, 1: 0, 2: 1})
-        assert forest.top_down_order() == [0, 1, 2]
-        assert forest.bottom_up_order() == [2, 1, 0]
+        assert forest.level_order == (0, 1, 2)
+        assert forest.subtree_height == {0: 2, 1: 1, 2: 0}
+        assert forest.fold_order == (2, 1)
+        # Two trees: levels are sorted across trees; folds go by subtree
+        # height, then parent, then vertex.
+        forest = RootedForest(parent={5: None, 4: 5, 1: 5, 3: 4, 0: None})
+        assert forest.level_order == (0, 5, 1, 4, 3)
+        assert list(forest.depth) == [0, 5, 1, 4, 3]
+        assert forest.subtree_height == {0: 0, 5: 2, 1: 0, 4: 1, 3: 0}
+        assert forest.fold_order == (3, 1, 4)
 
     def test_edges_are_child_parent_pairs(self):
         forest = RootedForest(parent={0: None, 1: 0})
@@ -394,7 +402,14 @@ _AUDIT_GRAPHS = {
 _EVENTUAL_DELIVERY_CONDITIONS = ["delayed", "flaky", "heavy-delay", "jittery", "lossy"]
 
 
+@pytest.mark.usefixtures("message_path_waves")
 class TestPollingAudit:
+    """The polling audit over every protocol, tree waves included.
+
+    Closed-form waves run no protocol, so the message path is forced:
+    otherwise ``ghs`` (nothing but waves) would leave nothing to poll.
+    """
+
     @pytest.mark.parametrize("bandwidth", [1, 2, 3])
     @pytest.mark.parametrize("family", sorted(_AUDIT_GRAPHS))
     @pytest.mark.parametrize("algorithm", ["elkin", "ghs", "gkp", "prs"])
